@@ -38,7 +38,13 @@ from .lti import (
     tf_to_ss,
     to_hz,
 )
-from .reset import HarmonicResponse, describing_function, hosidf
+from .reset import (
+    HarmonicResponse,
+    clegg,
+    describing_function,
+    hosidf,
+    save_harmonics,
+)
 from .sim import (
     SimConfig,
     SimulationDiverged,
@@ -148,28 +154,26 @@ def _linear_values(d, grid):
         d["gamma"] = tuple(1.0 for _ in d["gamma"])
     elif d["kind"] in ("clegg", "fore", "sore"):
         d["gamma"] = (1.0,)
-    if d["kind"] == "clegg":
-        from .reset import clegg
-
-        rs = clegg()
-        return np.array([rs.base(1j * w) for w in grid])
+    if d["kind"] == "clegg":   # clegg() always resets to zero
+        return describing_function(clegg().with_gamma([1.0]), grid).values
     return _harmonic_values(d, grid, 1)
 
 
-def _write_harmonic_csv(path, grid, order, values):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("freq_hz,order,mag_db,phase_deg\n")
-        if order % 2 == 0:
-            fh.write("# even harmonics are exactly zero and not tabulated\n")
-            return
-        if not np.any(values):
-            fh.write("# harmonic is exactly zero for this system\n")
-            return
-        hr = HarmonicResponse(grid, order, values)
-        mag = hr.mag_db()
-        ph = hr.phase_deg()
-        for w, m, p in zip(grid, mag, ph):
-            fh.write(f"{float(to_hz(w))!r},{order},{float(m)!r},{float(p)!r}\n")
+def _write_harmonic_files(out_dir, d, grid, orders, man):
+    """harmonic_NN.csv per order; even orders and all-zero harmonics get a
+    header and a comment instead of rows."""
+    for n in orders:
+        path = os.path.join(out_dir, f"harmonic_{n:02d}.csv")
+        values = _harmonic_values(d, grid, n) if n % 2 else None
+        if values is not None and np.any(values):
+            save_harmonics(path, [HarmonicResponse(grid, n, values)])
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("freq_hz,order,mag_db,phase_deg\n")
+                fh.write("# even harmonics are exactly zero and not tabulated\n"
+                         if values is None else
+                         "# harmonic is exactly zero for this system\n")
+        man.add(path)
 
 
 def _write_response_csv(path, grid, values):
@@ -210,13 +214,7 @@ def cmd_df(args):
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
     os.makedirs(args.out, exist_ok=True)
     man = Manifest("df", args.out)
-    for n in args.harmonics:
-        path = os.path.join(args.out, f"harmonic_{n:02d}.csv")
-        if n % 2 == 0:
-            _write_harmonic_csv(path, grid, n, np.zeros(grid.size, complex))
-        else:
-            _write_harmonic_csv(path, grid, n, _harmonic_values(d, grid, n))
-        man.add(path)
+    _write_harmonic_files(args.out, d, grid, args.harmonics, man)
     man.write()
     print(f"wrote {len(args.harmonics)} harmonic file(s) to {args.out}")
     return 0
@@ -346,6 +344,11 @@ def cmd_simulate(args):
     d = parse_spec(args.scenario)
     if "controller" not in d:
         raise ValueError("scenario file needs a `controller` key")
+    if "seed" in d:
+        seed = d["seed"]
+        if not (isinstance(seed, float) and seed.is_integer()):
+            raise ValueError(f"scenario seed must be an integer, got {seed!r}")
+        d["seed"] = int(seed)
     os.makedirs(args.out, exist_ok=True)
     man = Manifest("simulate", args.out, seed=d.get("seed"))
     res, report = _run_scenario(d, stage_plant(), args.out, man)
@@ -367,15 +370,8 @@ def cmd_reproduce(args):
         # resetting-integrator harmonics, orders 1..11
         d1 = os.path.join(out, "01_clegg_harmonics")
         os.makedirs(d1, exist_ok=True)
-        grid = log_grid(0.01, 100.0, 20)
-        for n in range(1, 12):
-            path = os.path.join(d1, f"harmonic_{n:02d}.csv")
-            if n % 2 == 0:
-                _write_harmonic_csv(path, grid, n, np.zeros(grid.size, complex))
-            else:
-                _write_harmonic_csv(path, grid, n,
-                                    _harmonic_values(builtins["clegg"], grid, n))
-            man.add(path)
+        _write_harmonic_files(d1, builtins["clegg"], log_grid(0.01, 100.0, 20),
+                              range(1, 12), man)
 
         # constant-gain lead-phase stage: reset vs no-reset limit
         d2 = os.path.join(out, "02_cglp_lead")
@@ -533,8 +529,6 @@ def main(argv=None):
 
     p = sub.add_parser("simulate", help="closed-loop scenario run")
     p.add_argument("scenario")
-    p.add_argument("--plant", default=None,
-                   help="FRF CSV overriding the bundled plant model")
     p.add_argument("--out", default="resetloop_out")
     p.set_defaults(func=cmd_simulate)
 

@@ -4,16 +4,20 @@ A reset element is a linear filter whose leading ("resetting") states are
 multiplied by per-state factors gamma_i whenever the driving error signal
 crosses zero.  The jump injects nonlinearity: under a unit sinusoid the
 steady-state output contains the excitation frequency plus odd harmonics.
-This module computes those complex harmonic gains in closed form:
+``describing_function`` (first harmonic), ``hosidf`` (n-th harmonic, exactly
+zero for even n), ``harmonic_spectrum`` (n = 1, 3, 5, ...) and
+``describing_function_gamma_batch`` (first harmonic for many reset maps)
+compute those gains in closed form through one kernel.
 
-* ``describing_function`` gives the first-harmonic gain, the quantity used
-  for loop shaping;
-* ``hosidf`` gives the gain of the n-th output harmonic (exactly zero for
-  even n);
-* ``harmonic_spectrum`` stacks both for n = 1, 3, 5, ...
-
-Everything is a pure function of immutable inputs; per-frequency
-evaluations are independent and may run in parallel.
+With E = e^{(pi/omega) A}, Delta = I + E and Lambda = omega^2 I + A^2, the
+jump enters every harmonic only through v(omega, gamma) = Delta (x -
+Lambda^-1 B), where x solves (I + diag(gamma) E) x = diag(gamma) Delta
+Lambda^-1 B.  The first harmonic is C (jwI - A)^-1 (B - j (2w^2/pi) v) + D
+and harmonic n >= 3 is -j (2w^2/pi) C (jnwI - A)^-1 v.  The kernel computes
+the frequency-only pieces once per call (one stacked ``expm`` over the
+grid) and solves for x in blocks of (omega, gamma) points: by forward
+substitution when A is lower triangular, by batched LAPACK otherwise.
+Everything is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -23,15 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .lti import (
-    SingularFrequencyError,
-    StateSpace,
-    TransferFunction,
-    tf_to_ss,
-)
+from .lti import SingularFrequencyError, StateSpace, to_hz
 
 _HURWITZ_TOL = 1e-9
 _COND_LIMIT = 1e14
+#: (omega, gamma) points per resolvent block: bounds the kernel's working memory
+_BLOCK_POINTS = 1 << 15
 
 
 class ResetSystem:
@@ -176,20 +177,123 @@ class HarmonicResponse:
         return np.degrees(ph)
 
 
-def _frequency_matrices(A, omega):
-    """Shared per-frequency pieces: E = e^{(pi/omega) A}, Delta = I + E,
-    Lambda^-1 = (omega^2 I + A^2)^-1.  All real-valued."""
-    n = A.shape[0]
-    eye = np.eye(n)
-    E = expm((np.pi / omega) * A)
-    delta = eye + E
-    lam = omega**2 * eye + A @ A
-    if np.linalg.cond(lam) > _COND_LIMIT:
-        raise SingularFrequencyError(
-            f"Lambda(omega) singular at omega = {omega:g} rad/s",
-            omega=omega, cond=np.linalg.cond(lam))
-    lam_inv = np.linalg.solve(lam, eye)
-    return E, delta, lam_inv
+def _check_grid(grid):
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid <= 0):
+        raise ValueError("grid must be positive")
+    return grid
+
+
+def _guard(cond, omega, what):
+    """Raise SingularFrequencyError at the first point whose condition
+    number exceeds the limit."""
+    bad = np.flatnonzero(cond > _COND_LIMIT)
+    if bad.size:
+        w, c = omega[bad[0]], cond[bad[0]]
+        raise SingularFrequencyError(f"{what} singular at omega = {w:g} rad/s "
+                                     f"(condition estimate {c:.3g})", omega=w, cond=c)
+
+
+def _frequency_matrices(A, grid):
+    """E = e^{(pi/omega) A} and Lambda = omega^2 I + A^2 stacked over the
+    grid, (F, n, n) each."""
+    E = expm((np.pi / grid)[:, None, None] * A)
+    lam = (grid**2)[:, None, None] * np.eye(A.shape[0]) + A @ A
+    _guard(np.linalg.cond(lam), grid, "Lambda(omega)")
+    return E, lam
+
+
+def _check_resolvent(E, g, bound, grid):
+    """Guard the jump resolvent I + diag(g) E.  ``bound`` (F, G) bounds its
+    cond_2 from above at each point; the exact value is computed only where
+    the bound fails (or is NaN)."""
+    f, k = np.nonzero(~(bound <= _COND_LIMIT))
+    M = np.eye(E.shape[-1]) + g[k][:, :, None] * E[f]
+    _guard(np.linalg.cond(M), grid[f], "I + A_R e^(pi A/omega)")
+
+
+def _solve_lower(E, g, m, grid):
+    """Solve (I + diag(g) E) x = diag(g) m for lower-triangular E by forward
+    substitution over the n states, every step elementwise on (F, G)
+    arrays; returns x as n such arrays."""
+    n = E.shape[-1]
+    e = E[..., None]   # e[:, i, j] is (F, 1) and broadcasts over G
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_diag = [1.0 / (1.0 + g[:, i] * e[:, i, i]) for i in range(n)]
+        scale = [g[:, i] * d for i, d in enumerate(inv_diag)]
+        x = []
+        for i in range(n):
+            x.append(scale[i] * (m[:, i, None] - sum(e[:, i, j] * x[j] for j in range(i))))
+        # M^-1 column by column, for the bound ||M||_F ||M^-1||_F >= cond_2(M)
+        norm_inv = 0.0
+        for k in range(n):
+            col = [inv_diag[k]]
+            for i in range(k + 1, n):
+                col.append(-scale[i] * sum(e[:, i, j] * c for j, c in enumerate(col, k)))
+            norm_inv = norm_inv + sum(c * c for c in col)
+        norm_m = sum((float(i == j) + g[:, i] * e[:, i, j]) ** 2
+                     for i in range(n) for j in range(i + 1))
+        bound = np.sqrt(norm_m * norm_inv)
+    _check_resolvent(E, g, bound, grid)
+    return x
+
+
+def _solve_general(E, g, m, grid):
+    """The same solve for any E, batched over (F, G) points; x is (n, F, G)."""
+    M = np.eye(E.shape[-1]) + g[None, :, :, None] * E[:, None, :, :]
+    try:
+        bound = (np.linalg.norm(M, axis=(2, 3))
+                 * np.linalg.norm(np.linalg.inv(M), axis=(2, 3)))
+    except np.linalg.LinAlgError:
+        bound = np.full(M.shape[:2], np.inf)
+    _check_resolvent(E, g, bound, grid)
+    rhs = g[None, :, :, None] * m[:, None, :, None]
+    return np.moveaxis(np.linalg.solve(M, rhs)[..., 0], -1, 0)
+
+
+def _shifted_solve(A, s, rhs):
+    """(s_k I - A)^-1 rhs at each s_k = j n omega_k, (F, n) complex."""
+    M = s[:, None, None] * np.eye(A.shape[0]) - A
+    try:
+        return np.linalg.solve(M, np.broadcast_to(rhs, (s.size,) + rhs.shape))[..., 0]
+    except np.linalg.LinAlgError:
+        _guard(np.linalg.cond(M), np.abs(s), "j omega I - A")
+        raise
+
+
+def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
+    """Gains of the odd harmonics ``orders`` for each reset map in
+    ``gammas`` (G, n_r) on the grid: a (len(orders), G, F) array.  See the
+    module docstring for the formula."""
+    A, n, F, G = base.A, base.order, grid.size, gammas.shape[0]
+    # output rows C (jnwI - A)^-1, solved against C^T
+    rows = [_shifted_solve(A.T, 1j * order * grid, base.C.T) for order in orders]
+    # laid out (order, F, G) so each frequency block is contiguous
+    out = np.empty((len(orders), F, G), dtype=complex)
+    for k, order in enumerate(orders):
+        # the linear part solves against B, the same route as StateSpace(s)
+        out[k] = (base.C @ _shifted_solve(A, 1j * grid, base.B)[..., None]
+                  + base.D)[:, 0] if order == 1 else 0.0
+    identity = np.all(gammas == 1.0, axis=1)   # no jump: v = 0 exactly
+    if n_r == 0 or identity.all():
+        return out.transpose(0, 2, 1)
+    E, lam = _frequency_matrices(A, grid)
+    delta = np.eye(n) + E
+    lam_b = np.linalg.solve(lam, np.broadcast_to(base.B, (F, n, 1)))[..., 0]
+    m = (delta @ lam_b[..., None])[..., 0]
+    # fold -j (2w^2/pi) Delta into each row, so harmonic += q . (x - lam_b)
+    jump = (-2j * grid**2 / np.pi)[:, None]
+    qs = [jump * (row[:, None, :] @ delta)[:, 0] for row in rows]
+    g = np.ones((G, n))
+    g[:, :n_r] = gammas
+    solve = _solve_general if np.triu(A, 1).any() else _solve_lower
+    step = max(1, _BLOCK_POINTS // G)
+    for fs in (slice(f0, f0 + step) for f0 in range(0, F, step)):
+        x = solve(E[fs], g, m[fs], grid[fs])
+        y = [np.where(identity, 0.0, x[i] - lam_b[fs, i, None]) for i in range(n)]
+        for k, q in enumerate(qs):
+            out[k, fs] += sum(q[fs, i, None] * y[i] for i in range(n))
+    return out.transpose(0, 2, 1)
 
 
 def theta_d(rs: ResetSystem, omega) -> np.ndarray:
@@ -205,16 +309,12 @@ def theta_d(rs: ResetSystem, omega) -> np.ndarray:
         # identity jump map: the resolvent collapses and the correction is
         # exactly zero, so skip the (possibly ill-conditioned) formula
         return np.zeros((rs.order, rs.order))
-    A = rs.base.A
-    AR = rs.reset_matrix()
-    E, delta, lam_inv = _frequency_matrices(A, omega)
-    delta_r = np.eye(rs.order) + AR @ E
-    cond = np.linalg.cond(delta_r)
-    if cond > _COND_LIMIT:
-        raise SingularFrequencyError(
-            f"I + A_R e^(pi A/omega) singular at omega = {omega:g} rad/s "
-            f"(condition estimate {cond:.3g})", omega=omega, cond=cond)
-    gamma_r = np.linalg.solve(delta_r, AR @ delta @ lam_inv)
+    eye, AR, grid = np.eye(rs.order), rs.reset_matrix(), np.array([float(omega)])
+    E, lam = _frequency_matrices(rs.base.A, grid)
+    # one matrix: an infinite bound sends it straight to the exact cond_2
+    _check_resolvent(E, np.diag(AR)[None, :], np.full((1, 1), np.inf), grid)
+    delta, lam_inv = eye + E[0], np.linalg.solve(lam[0], eye)
+    gamma_r = np.linalg.solve(eye + AR @ E[0], AR @ delta @ lam_inv)
     return -(2.0 * omega**2 / np.pi) * delta @ (gamma_r - lam_inv)
 
 
@@ -224,23 +324,9 @@ def describing_function(rs: ResetSystem, grid) -> HarmonicResponse:
     Reduces exactly to the linear frequency response of the base when all
     gamma_i = 1.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ValueError("grid must be positive")
-    A, B, C, D = rs.base.A, rs.base.B, rs.base.C, rs.base.D
-    eye = np.eye(rs.order)
-    vals = np.empty(grid.shape, dtype=complex)
-    for i, w in enumerate(grid):
-        th = theta_d(rs, w)
-        M = 1j * w * eye - A
-        try:
-            x = np.linalg.solve(M, (eye + 1j * th) @ B)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFrequencyError(
-                f"j omega I - A singular at omega = {w:g} rad/s (marginal pole "
-                "on the grid)", omega=w) from exc
-        vals[i] = (C @ x)[0, 0] + D
-    return HarmonicResponse(grid, 1, vals)
+    grid = _check_grid(grid)
+    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, (1,))
+    return HarmonicResponse(grid, 1, vals[0, 0])
 
 
 def hosidf(rs: ResetSystem, grid, n: int) -> HarmonicResponse:
@@ -252,30 +338,13 @@ def hosidf(rs: ResetSystem, grid, n: int) -> HarmonicResponse:
     applies in the no-reset limit gamma = 1, where every harmonic above
     the first vanishes identically.
     """
-    grid = np.asarray(grid, dtype=float)
     if n < 2:
         raise ValueError("hosidf() covers n >= 2; use describing_function for n = 1")
-    if np.any(grid <= 0):
-        raise ValueError("grid must be positive")
-    if n % 2 == 0 or rs.is_linear:
+    grid = _check_grid(grid)
+    if n % 2 == 0:
         return HarmonicResponse(grid, n, np.zeros(grid.shape, dtype=complex))
-    A, B, C = rs.base.A, rs.base.B, rs.base.C
-    AR = rs.reset_matrix()
-    eye = np.eye(rs.order)
-    vals = np.empty(grid.shape, dtype=complex)
-    for i, w in enumerate(grid):
-        E, delta, lam_inv = _frequency_matrices(A, w)
-        delta_r = eye + AR @ E
-        cond = np.linalg.cond(delta_r)
-        if cond > _COND_LIMIT:
-            raise SingularFrequencyError(
-                f"I + A_R e^(pi A/omega) singular at omega = {w:g} rad/s",
-                omega=w, cond=cond)
-        gamma_r = np.linalg.solve(delta_r, AR @ delta @ lam_inv)
-        M = A - 1j * n * w * eye
-        x = np.linalg.solve(M, delta @ (gamma_r - lam_inv) @ B)
-        vals[i] = (-2.0 * w**2 / (1j * np.pi)) * (C @ x)[0, 0]
-    return HarmonicResponse(grid, n, vals)
+    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, (n,))
+    return HarmonicResponse(grid, n, vals[0, 0])
 
 
 def harmonic_spectrum(rs: ResetSystem, grid, n_max: int):
@@ -283,51 +352,27 @@ def harmonic_spectrum(rs: ResetSystem, grid, n_max: int):
     HarmonicResponse)."""
     if n_max < 1 or n_max % 2 == 0:
         raise ValueError("n_max must be odd and >= 1")
-    out = [describing_function(rs, grid)]
-    for n in range(3, n_max + 1, 2):
-        out.append(hosidf(rs, grid, n))
-    return out
+    grid, orders = _check_grid(grid), tuple(range(1, n_max + 1, 2))
+    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, orders)
+    return [HarmonicResponse(grid, n, v[0]) for n, v in zip(orders, vals)]
 
 
 def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.ndarray:
     """First-harmonic gains for many gamma vectors at once.
 
     ``gammas`` is (G, n_r); returns a (G, len(grid)) complex array.  The
-    frequency-only matrices are shared across the batch and the jump
-    resolvent is solved with batched linear algebra, which is what makes
+    frequency-only work is shared by the whole batch, which is what makes
     exhaustive reset-map tuning affordable.
     """
     gammas = np.asarray(gammas, dtype=float)
-    grid = np.asarray(grid, dtype=float)
     if gammas.ndim != 2 or gammas.shape[1] != n_r:
         raise ValueError("gammas must be (G, n_r)")
-    n = base.order
-    G = gammas.shape[0]
-    A, B, C, D = base.A, base.B, base.C, base.D
-    eye = np.eye(n)
-    # full diagonal of the jump map per batch entry
-    diag = np.ones((G, n))
-    diag[:, :n_r] = gammas
-    out = np.empty((G, grid.size), dtype=complex)
-    for k, w in enumerate(grid):
-        E, delta, lam_inv = _frequency_matrices(A, w)
-        M0 = delta @ lam_inv
-        # diag(g) @ X scales rows of X
-        delta_r = eye[None, :, :] + diag[:, :, None] * E[None, :, :]
-        rhs = diag[:, :, None] * M0[None, :, :]
-        gamma_r = np.linalg.solve(delta_r, rhs)
-        theta = -(2.0 * w**2 / np.pi) * np.einsum("ij,gjk->gik", delta, gamma_r - lam_inv[None, :, :])
-        wrow = np.linalg.solve((1j * w * eye - A).T, C.T).reshape(1, n)
-        rhsB = np.einsum("gij,j->gi", eye[None, :, :] + 1j * theta, B[:, 0])
-        out[:, k] = rhsB @ wrow[0] + D
-    return out
+    return _harmonics(base, n_r, gammas, _check_grid(grid), (1,))[0]
 
 
 def save_harmonics(path, responses):
     """Harmonic CSV: `freq_hz,order,mag_db,phase_deg`.  Even orders are
     omitted (they are exactly zero)."""
-    from .lti import to_hz
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,order,mag_db,phase_deg\n")
         for hr in responses:
@@ -337,11 +382,3 @@ def save_harmonics(path, responses):
             ph = hr.phase_deg()
             for w, m, p in zip(hr.omega, mag, ph):
                 fh.write(f"{float(to_hz(w))!r},{hr.order},{float(m)!r},{float(p)!r}\n")
-
-
-
-def from_transfer_function(tf: TransferFunction, n_r, gamma, allow_marginal=False) -> ResetSystem:
-    """Realize a proper transfer function and mark its first n_r canonical
-    states as resetting.  Prefer the dedicated constructors (clegg, fore,
-    sore, lag_chain) when the state-to-pole correspondence matters."""
-    return ResetSystem(tf_to_ss(tf), n_r, gamma, allow_marginal=allow_marginal)

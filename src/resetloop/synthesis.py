@@ -237,21 +237,6 @@ def _gamma_grid_values(delta):
     return np.minimum(vals, 1.0)
 
 
-def _slopes_for_gammas(crone, gammas, grid, lin_vals, pinv_row):
-    dfs = describing_function_gamma_batch(crone_base(crone), crone.n_pairs, gammas, grid)
-    vals = dfs * lin_vals[None, :]
-    mag = 20.0 * np.log10(np.abs(vals))
-    ph = np.degrees(np.unwrap(np.angle(vals), axis=1))
-    gs = mag @ pinv_row
-    ps = ph @ pinv_row
-    return gs, ps
-
-
-def crone_base(crone: CroneApprox) -> StateSpace:
-    """State-space base of the resetting pole cascade (gamma-independent)."""
-    return lag_chain(crone.poles, np.ones(crone.n_pairs)).base
-
-
 def tune_arho(crone: CroneApprox, target, delta=0.1, weights=DEFAULT_WEIGHTS,
               taming_factor=DEFAULT_TAMING_FACTOR, trim=DEFAULT_FIT_TRIM,
               points_per_decade=50, refine=True, refine_delta=0.01,
@@ -288,18 +273,17 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, weights=DEFAULT_WEIGHTS,
     pinv_row = np.linalg.pinv(X)[0]
 
     n = crone.n_pairs
-    vals = _gamma_grid_values(delta)
-    coarse = np.array(list(itertools.product(vals, repeat=n)))
+    coarse = np.array(list(itertools.product(_gamma_grid_values(delta), repeat=n)))
+    base = lag_chain(crone.poles, np.ones(n)).base   # the gamma-independent flow
 
     def evaluate(gammas):
-        gs, ps = _slopes_for_gammas(crone, gammas, grid, lin_vals, pinv_row)
-        return wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
+        vals = describing_function_gamma_batch(base, n, gammas, grid) * lin_vals[None, :]
+        gs = 20.0 * np.log10(np.abs(vals)) @ pinv_row
+        ps = np.degrees(np.unwrap(np.angle(vals), axis=1)) @ pinv_row
+        return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
 
-    obj, gs, ps = evaluate(coarse)
-    all_g = [coarse]
-    all_obj = [obj]
-    all_gs = [gs]
-    all_ps = [ps]
+    evaluated = [evaluate(coarse)]
+    obj = evaluated[0][1]
 
     order = np.lexsort(tuple(coarse[:, i] for i in reversed(range(n))) + (obj,))
     ranked = order[np.argsort(obj[order], kind="stable")]
@@ -311,28 +295,12 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, weights=DEFAULT_WEIGHTS,
         # is capped so huge coarse deltas stay cheap
         window = min(delta, 10.0 * refine_delta)
         steps = int(round(window / refine_delta))
-        seen = set()
-        for idx in ranked[:top_k]:
-            center = coarse[idx]
-            key = tuple(center)
-            if key in seen:
-                continue
-            seen.add(key)
-            axes = []
-            for c in center:
-                local = c + refine_delta * np.arange(-steps, steps + 1)
-                axes.append(np.clip(local, -1.0, 1.0))
-            local_grid = np.array(list(itertools.product(*axes)))
-            lobj, lgs, lps = evaluate(local_grid)
-            all_g.append(local_grid)
-            all_obj.append(lobj)
-            all_gs.append(lgs)
-            all_ps.append(lps)
+        for idx in ranked[:top_k]:   # coarse grid points are distinct
+            axes = [np.clip(c + refine_delta * np.arange(-steps, steps + 1), -1.0, 1.0)
+                    for c in coarse[idx]]
+            evaluated.append(evaluate(np.array(list(itertools.product(*axes)))))
 
-    g_all = np.concatenate(all_g)
-    o_all = np.concatenate(all_obj)
-    gs_all = np.concatenate(all_gs)
-    ps_all = np.concatenate(all_ps)
+    g_all, o_all, gs_all, ps_all = (np.concatenate(c) for c in zip(*evaluated))
     best_set = np.flatnonzero(o_all == o_all.min())
     # lexicographically smallest gamma among exact ties
     best = best_set[np.lexsort(tuple(g_all[best_set, i] for i in reversed(range(n))))[0]]

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests replay the same examples on every run and stay fast
+settings.register_profile("resetloop", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("resetloop")
 
 from resetloop.lti import TransferFunction, stage_plant
 from resetloop.synthesis import build_benchmark_suite

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from resetloop.cli import main
 
@@ -129,3 +130,28 @@ def test_reproduce_with_frf_plant(tmp_path):
     assert rc == 0
     pm = (out / "05_open_loop" / "crossover_pm.txt").read_text()
     assert "crossover 15" in pm  # still lands at ~150 Hz on the frf
+
+
+def test_simulate_rejects_plant_option(tmp_path):
+    scen = tmp_path / "s.spec"
+    scen.write_text("controller = pid\nreference = step3um\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(scen), "--plant", str(tmp_path / "none.csv"),
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+def test_simulate_integral_seed_is_an_int(tmp_path):
+    scen = tmp_path / "s.spec"
+    scen.write_text("controller = pid\nreference = step3um\nseed = 7\n")
+    out = tmp_path / "run"
+    assert main(["simulate", str(scen), "--out", str(out)]) == 0
+    assert "# seed: 7\n" in (out / "manifest.txt").read_text()
+
+
+def test_simulate_rejects_fractional_seed(tmp_path):
+    scen = tmp_path / "s.spec"
+    scen.write_text("controller = pid\nreference = step3um\nseed = 7.5\n")
+    out = tmp_path / "run"
+    assert main(["simulate", str(scen), "--out", str(out)]) == 2
+    assert not (out / "manifest.txt").exists()

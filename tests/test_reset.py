@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_stable_tf
-from resetloop.lti import StateSpace, freq_response, hz, log_grid, tf_to_ss
+from resetloop.lti import (
+    SingularFrequencyError,
+    StateSpace,
+    freq_response,
+    hz,
+    log_grid,
+    tf_to_ss,
+)
 from resetloop.reset import (
     HarmonicResponse,
     ResetSystem,
+    _harmonics,
     clegg,
     describing_function,
     describing_function_gamma_batch,
@@ -165,6 +175,70 @@ def test_gamma_batch_matches_scalar_path():
     for row, g in zip(batch, gammas):
         ref = describing_function(rs.with_gamma(g), grid).values
         assert np.max(np.abs(row - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("rs", [
+    clegg().with_gamma([-1.0]),
+    # double integrator, A not triangular: I - e^{(pi/omega) A} is singular
+    ResetSystem(StateSpace([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]],
+                           [[1.0, 0.0]], 0.0), 2, [-1.0, -1.0],
+                allow_marginal=True),
+])
+def test_singular_resolvent_raises_on_both_entries(rs):
+    grid = np.array([1.0, 2.0])
+    gammas = [np.zeros(rs.n_r), rs.gamma]
+    with pytest.raises(SingularFrequencyError, match="singular at omega = 1 ") as batch:
+        describing_function_gamma_batch(rs.base, rs.n_r, gammas, grid)
+    with pytest.raises(SingularFrequencyError, match="singular at omega = 1 ") as single:
+        describing_function(rs, grid)
+    assert batch.value.omega == single.value.omega == 1.0
+    assert str(batch.value) == str(single.value)
+    with pytest.raises(SingularFrequencyError):
+        hosidf(rs, grid, 3)
+    with pytest.raises(SingularFrequencyError):
+        theta_d(rs, 1.0)
+
+
+_poles = st.lists(st.floats(0.5, 500.0), min_size=1, max_size=5, unique=True)
+
+
+@given(_poles, st.data())
+def test_batch_kernel_matches_per_spec(poles, data):
+    n = len(poles)
+    gammas = np.array(data.draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        min_size=1, max_size=6)) + [[1.0] * n])   # plus the no-reset map
+    rs = lag_chain(np.sort(poles), np.zeros(n))
+    grid = log_grid(0.05, 200.0, 8)
+    batch = describing_function_gamma_batch(rs.base, n, gammas, grid)
+    high = _harmonics(rs.base, n, gammas, grid, (3, 5))
+    for k, g in enumerate(gammas):
+        one = rs.with_gamma(g)
+        pairs = [(batch[k], describing_function(one, grid).values),
+                 (high[0, k], hosidf(one, grid, 3).values),
+                 (high[1, k], hosidf(one, grid, 5).values)]
+        for got, ref in pairs:
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        # the matrix form of theta_d is a second route to the first harmonic
+        A, B, C = rs.base.A, rs.base.B, rs.base.C
+        for w, got in zip(grid, batch[k]):
+            th = theta_d(one, w)
+            x = np.linalg.solve(1j * w * np.eye(n) - A, (np.eye(n) + 1j * th) @ B)
+            ref = (C @ x)[0, 0]
+            assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_gamma_one_describing_function_is_freq_response(seed):
+    rng = np.random.default_rng(seed)
+    ss = tf_to_ss(random_stable_tf(rng, 6, strictly_proper=True))
+    n_r = int(rng.integers(0, ss.order + 1))
+    rs = ResetSystem(ss, n_r, np.ones(n_r))
+    grid = log_grid(0.1, 100.0, 6)
+    df = describing_function(rs, grid).values
+    ref = freq_response(ss, grid).values
+    assert np.max(np.abs(df - ref) / np.abs(ref)) < 1e-12
+    assert np.all(hosidf(rs, grid, 3).values == 0)
 
 
 def test_even_harmonic_response_type_rejects_nonzero():
