@@ -13,31 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (
-    FrequencyResponse,
-    StateSpace,
-    TransferFunction,
-    log_grid,
-    to_hz,
-)
+from .lti import FrequencyResponse, log_grid, plant_values, to_hz
 from .synthesis import ControllerSpec, controller_harmonic
-
-
-def _plant_values(plant, omega):
-    """Plant gain at the given rad/s points; measured FRFs are
-    log-frequency interpolated and NaN outside their span."""
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(plant, (TransferFunction, StateSpace)):
-        if isinstance(plant, TransferFunction):
-            return plant(1j * omega)
-        return np.array([plant(1j * w) for w in omega])
-    if isinstance(plant, FrequencyResponse):
-        vals = plant.at(omega)
-        out = np.where((omega < plant.omega[0]) | (omega > plant.omega[-1]),
-                       np.nan + 0j, vals)
-        return out
-    raise TypeError("plant must be a TransferFunction, StateSpace, or "
-                    "FrequencyResponse")
 
 
 def open_loop(controller: ControllerSpec, plant, grid, n=1) -> np.ndarray:
@@ -55,7 +32,7 @@ def open_loop(controller: ControllerSpec, plant, grid, n=1) -> np.ndarray:
     ctrl = controller_harmonic(controller, grid, n)
     if controller.reset_part is None and n > 1:
         return ctrl  # exact zeros; skip the plant lookup entirely
-    return ctrl * _plant_values(plant, n * grid)
+    return ctrl * plant_values(plant, n * grid)
 
 
 @dataclass(frozen=True)

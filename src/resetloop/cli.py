@@ -40,7 +40,6 @@ from .lti import (
 )
 from .reset import (
     HarmonicResponse,
-    clegg,
     describing_function,
     hosidf,
     save_harmonics,
@@ -152,10 +151,8 @@ def _linear_values(d, grid):
     d = dict(d)
     if "gamma" in d:
         d["gamma"] = tuple(1.0 for _ in d["gamma"])
-    elif d["kind"] in ("clegg", "fore", "sore"):
+    elif d["kind"] in _RESET_ELEMENT_KINDS:
         d["gamma"] = (1.0,)
-    if d["kind"] == "clegg":   # clegg() always resets to zero
-        return describing_function(clegg().with_gamma([1.0]), grid).values
     return _harmonic_values(d, grid, 1)
 
 
@@ -485,12 +482,12 @@ def cmd_reproduce(args):
             _run_scenario({"controller": name, "reference": "step3um",
                            "noise_um": 2.0, "seed": args.seed + 17},
                           plant_tf, d8, man, tag="noise_")
-    except (SingularFrequencyError, ValueError, ArithmeticError) as exc:
-        man.write()
+    except ArithmeticError as exc:
+        # numerical failure (exit 3); input errors reach main (exit 2)
         print(f"reproduce aborted: {exc}", file=sys.stderr)
         return 3
-
-    path = man.write()
+    finally:
+        path = man.write()   # partial on any failure
     print(f"wrote {len(man.entries)} files; manifest at {path}")
     return 0
 

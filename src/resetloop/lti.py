@@ -312,6 +312,23 @@ def freq_response(sys, grid) -> FrequencyResponse:
     raise TypeError(f"unsupported system type: {type(sys).__name__}")
 
 
+def plant_values(plant, omega):
+    """Plant gain at rad/s points, scalar or array: transfer functions
+    vectorised, state-space models point by point, measured FRFs
+    log-frequency interpolated and NaN outside their span."""
+    omega = np.asarray(omega, dtype=float)
+    if isinstance(plant, TransferFunction):
+        return plant(1j * omega)
+    if isinstance(plant, StateSpace):
+        vals = [plant(1j * w) for w in omega.ravel()]
+        return np.array(vals, dtype=complex).reshape(omega.shape)
+    if isinstance(plant, FrequencyResponse):
+        outside = (omega < plant.omega[0]) | (omega > plant.omega[-1])
+        return np.where(outside, np.nan + 0j, plant.at(omega))
+    raise TypeError("plant must be a TransferFunction, StateSpace, or "
+                    "FrequencyResponse")
+
+
 def stage_plant() -> TransferFunction:
     """Second-order model of the flexure-guided positioning stage used by
     the bundled controller designs (collocated mass-spring-damper, DC gain

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .lti import StateSpace, TransferFunction, tf_to_ss
+from .lti import StateSpace, TransferFunction, series_ss, tf_to_ss
 from .reset import ResetSystem
 from .synthesis import ControllerSpec
 
@@ -45,10 +45,14 @@ class SimConfig:
     feedforward: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.duration < 10 * self.dt:
-            raise ValueError("duration must cover at least 10 steps")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (np.isfinite(self.duration) and self.duration >= 10 * self.dt):
+            raise ValueError("duration must be finite and cover at least 10 steps")
+        for name in ("quantization", "noise_amplitude"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -238,8 +242,6 @@ def realize_controller(spec: ControllerSpec) -> ResetSystem:
     lin = tf_to_ss(spec.linear_tf().scaled(spec.kp))
     if spec.reset_part is None:
         return ResetSystem(lin, 0, [], allow_marginal=True)
-    from .lti import series_ss
-
     chain = series_ss(spec.reset_part.base, lin)
     return ResetSystem(chain, spec.reset_part.n_r, spec.reset_part.gamma,
                        allow_marginal=True)
@@ -262,14 +264,35 @@ class SimResult:
     n_resets: int = 0
 
 
-def _finish(t, r, y, e, u, n_resets, step_size):
+def _finish(traj, y, e, u, n_resets):
+    t, r = traj.t, traj.r
     e_rms = float(np.sqrt(np.mean(e**2)))
     e_max = float(np.max(np.abs(e)))
+    step_size = traj.distance if traj.kind == "step" else 0.0
     if step_size:
         overshoot = max(0.0, float((np.max(y) - r[-1]) / step_size))
     else:
         overshoot = 0.0
     return SimResult(t, r, y, e, u, e_rms, e_max, overshoot, n_resets)
+
+
+def _sampled_loop(plant: StateSpace, controller: ControllerSpec,
+                  traj: Trajectory, cfg: SimConfig, feedforward):
+    """Set-up shared by both loop simulators: the controller chain, the
+    exact held-input steps (Ac, Bc) and (Ap, Bp) of controller and plant,
+    and the feedforward command at the sample instants (zeros when off)."""
+    if plant.D != 0.0:
+        raise ValueError("plant must be strictly proper (no direct feedthrough)")
+    rs = realize_controller(controller)
+    Ac, Bc = _discretize(rs.base, cfg.dt)
+    Ap, Bp = _discretize(plant, cfg.dt)
+    if cfg.feedforward and feedforward is None:
+        raise ValueError("cfg.feedforward is on but no feedforward filter given")
+    if cfg.feedforward:
+        u_ff = feedforward_signal(feedforward, traj, cfg.dt)
+    else:
+        u_ff = np.zeros(traj.t.size)
+    return rs, Ac, Bc, Ap, Bp, u_ff
 
 
 def simulate_closed_loop(plant: StateSpace, controller: ControllerSpec,
@@ -281,28 +304,19 @@ def simulate_closed_loop(plant: StateSpace, controller: ControllerSpec,
     the reset once when the error changed sign since the previous sample
     or just reached zero (re-triggering while the error holds zero is
     suppressed), emit the control, then advance all states by their exact
-    held-input step.  A norm blow-up raises SimulationDiverged with the
-    failure time, which doubles as the practical instability check.
+    held-input step.  A non-finite or blown-up output raises
+    SimulationDiverged with the failure time, which doubles as the
+    practical instability check.
     """
-    if plant.D != 0.0:
-        raise ValueError("plant must be strictly proper (no direct feedthrough)")
-    rs = realize_controller(controller)
-    Ac, Bc = _discretize(rs.base, cfg.dt)
+    rs, Ac, Bc, Ap, Bp, u_ff = _sampled_loop(plant, controller, traj, cfg,
+                                             feedforward)
     Cc, Dc = rs.base.C[0], rs.base.D
-    Ap, Bp = _discretize(plant, cfg.dt)
     Cp = plant.C[0]
-    if cfg.feedforward and feedforward is None:
-        raise ValueError("cfg.feedforward is on but no feedforward filter given")
     t = traj.t
     r = traj.r
     K = t.size
-    if cfg.feedforward:
-        u_ff = feedforward_signal(feedforward, traj, cfg.dt)
-    else:
-        u_ff = np.zeros(K)
     xc = np.zeros(rs.order)
     xp = np.zeros(plant.order)
-    gam = rs.reset_matrix().diagonal().copy()
     n_r = rs.n_r
 
     if cfg.noise_amplitude > 0:
@@ -326,7 +340,7 @@ def simulate_closed_loop(plant: StateSpace, controller: ControllerSpec,
         ek = r[k] - yk
         if n_r and e_prev is not None:
             if (e_prev * ek < 0.0) or (ek == 0.0 and e_prev != 0.0):
-                xc[:n_r] *= gam[:n_r]
+                xc[:n_r] *= rs.gamma
                 n_resets += 1
         uk_total = float(Cc @ xc) + Dc * ek + u_ff[k]
         y[k] = yk
@@ -335,92 +349,56 @@ def simulate_closed_loop(plant: StateSpace, controller: ControllerSpec,
         xc = Ac @ xc + Bc * ek
         xp = Ap @ xp + Bp * uk_total
         e_prev = ek
-        if abs(yk) > blow:
+        if not np.isfinite(yk) or abs(yk) > blow:
             raise SimulationDiverged(
                 f"output blew up at t = {t[k]:.4f} s (|y| = {abs(yk):.3g})",
                 time=float(t[k]))
 
-    step_size = traj.distance if traj.kind == "step" else 0.0
-    return _finish(t, r, y, e, u, n_resets, step_size)
+    return _finish(traj, y, e, u, n_resets)
 
 
 def simulate_linear_closed_loop(plant: StateSpace, controller: ControllerSpec,
                                 traj: Trajectory, cfg: SimConfig,
                                 feedforward: TransferFunction | None = None) -> SimResult:
-    """Pure-linear reference path: identical loop, no jump logic.
+    """Clean-sensor oracle for the no-reset limit of the hybrid simulator.
 
-    With a clean sensor the whole closed loop collapses to one precomputed
-    state update, a deliberately different arithmetic route that serves as
-    the oracle for the no-reset limit of the hybrid simulator.
+    The same sampled loop with no jump logic, collapsed to one precomputed
+    closed-loop state update: a deliberately different arithmetic route.
+    The sensor must be clean: a cfg with quantization or noise raises
+    ValueError.
     """
-    if plant.D != 0.0:
-        raise ValueError("plant must be strictly proper (no direct feedthrough)")
-    lin = tf_to_ss(controller.linear_tf().scaled(controller.kp))
-    if controller.reset_part is not None:
-        from .lti import series_ss
-
-        lin = series_ss(controller.reset_part.base, lin)
-    Ac, Bc = _discretize(lin, cfg.dt)
-    Cc, Dc = lin.C[0], lin.D
-    Ap, Bp = _discretize(plant, cfg.dt)
+    if cfg.quantization != 0 or cfg.noise_amplitude != 0:
+        raise ValueError("the linear oracle needs a clean sensor "
+                         "(quantization = 0, noise_amplitude = 0)")
+    rs, Ac, Bc, Ap, Bp, u_ff = _sampled_loop(plant, controller, traj, cfg,
+                                             feedforward)
+    Cc, Dc = rs.base.C[0], rs.base.D
     Cp = plant.C[0]
-    if cfg.feedforward and feedforward is None:
-        raise ValueError("cfg.feedforward is on but no feedforward filter given")
     t, r = traj.t, traj.r
     K = t.size
-    if cfg.feedforward:
-        u_ff = feedforward_signal(feedforward, traj, cfg.dt)
-    else:
-        u_ff = np.zeros(K)
-    nc, npl = lin.order, plant.order
-    step_size = traj.distance if traj.kind == "step" else 0.0
-
-    if cfg.quantization == 0 and cfg.noise_amplitude == 0:
-        # one-shot closed-loop update z+ = F z + G r + H u_ff, y = Cp xp
-        F = np.zeros((nc + npl, nc + npl))
-        G = np.zeros(nc + npl)
-        H = np.zeros(nc + npl)
-        F[:nc, :nc] = Ac
-        F[:nc, nc:] = -np.outer(Bc, Cp)
-        G[:nc] = Bc
-        F[nc:, :nc] = np.outer(Bp, Cc)
-        F[nc:, nc:] = Ap - Dc * np.outer(Bp, Cp)
-        G[nc:] = Bp * Dc
-        H[nc:] = Bp
-        z = np.zeros(nc + npl)
-        y = np.empty(K)
-        e = np.empty(K)
-        u = np.empty(K)
-        for k in range(K):
-            yk = float(Cp @ z[nc:])
-            ek = r[k] - yk
-            y[k], e[k] = yk, ek
-            u[k] = float(Cc @ z[:nc]) + Dc * ek + u_ff[k]
-            z = F @ z + G * r[k] + H * u_ff[k]
-        return _finish(t, r, y, e, u, 0, step_size)
-
-    # sensor nonlinearities requested: step like the hybrid path, no jumps
-    if cfg.noise_amplitude > 0:
-        rng = np.random.default_rng(cfg.noise_seed)
-        noise = rng.uniform(-cfg.noise_amplitude, cfg.noise_amplitude, size=K)
-    else:
-        noise = np.zeros(K)
-    q = cfg.quantization
-    xc = np.zeros(nc)
-    xp = np.zeros(npl)
+    nc, npl = rs.order, plant.order
+    # one-shot closed-loop update z+ = F z + G r + H u_ff, y = Cp xp
+    F = np.zeros((nc + npl, nc + npl))
+    G = np.zeros(nc + npl)
+    H = np.zeros(nc + npl)
+    F[:nc, :nc] = Ac
+    F[:nc, nc:] = -np.outer(Bc, Cp)
+    G[:nc] = Bc
+    F[nc:, :nc] = np.outer(Bp, Cc)
+    F[nc:, nc:] = Ap - Dc * np.outer(Bp, Cp)
+    G[nc:] = Bp * Dc
+    H[nc:] = Bp
+    z = np.zeros(nc + npl)
     y = np.empty(K)
     e = np.empty(K)
     u = np.empty(K)
     for k in range(K):
-        yk = float(Cp @ xp) + noise[k]
-        if q > 0:
-            yk = np.floor(yk / q) * q
+        yk = float(Cp @ z[nc:])
         ek = r[k] - yk
-        uk = float(Cc @ xc) + Dc * ek + u_ff[k]
-        y[k], e[k], u[k] = yk, ek, uk
-        xc = Ac @ xc + Bc * ek
-        xp = Ap @ xp + Bp * uk
-    return _finish(t, r, y, e, u, 0, step_size)
+        y[k], e[k] = yk, ek
+        u[k] = float(Cc @ z[:nc]) + Dc * ek + u_ff[k]
+        z = F @ z + G * r[k] + H * u_ff[k]
+    return _finish(traj, y, e, u, 0)
 
 
 def steady_state_harmonics(rs: ResetSystem, omega, n_max,

@@ -150,7 +150,7 @@ def build_reset_element(d: dict) -> ResetSystem:
     """Reset elements for harmonic analysis: kinds clegg, fore, sore."""
     kind = d["kind"]
     if kind == "clegg":
-        return clegg()
+        return clegg().with_gamma([_scalar_gamma(d)])
     if kind == "fore":
         return fore(hz(d["omega_r_hz"]), _scalar_gamma(d))
     if kind == "sore":

@@ -20,11 +20,11 @@ from scipy.optimize import brentq
 
 from .lti import (
     FrequencyResponse,
-    StateSpace,
     TransferFunction,
     first_order_lag,
     hz,
     lead_lag,
+    plant_values,
     series_all,
 )
 from .reset import (
@@ -237,6 +237,14 @@ def _gamma_grid_values(delta):
     return np.minimum(vals, 1.0)
 
 
+def _refine_axis(center, refine_delta, steps):
+    """The 2 steps + 1 points of the refine_delta grid nearest `center`,
+    clipped to [-1, 1].  Each value is refine_delta times an integer index,
+    so overlapping windows reach a shared point as the same double."""
+    index = round(center / refine_delta) + np.arange(-steps, steps + 1)
+    return np.clip(refine_delta * index, -1.0, 1.0)
+
+
 def tune_arho(crone: CroneApprox, target, delta=0.1, weights=DEFAULT_WEIGHTS,
               taming_factor=DEFAULT_TAMING_FACTOR, trim=DEFAULT_FIT_TRIM,
               points_per_decade=50, refine=True, refine_delta=0.01,
@@ -296,8 +304,7 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, weights=DEFAULT_WEIGHTS,
         window = min(delta, 10.0 * refine_delta)
         steps = int(round(window / refine_delta))
         for idx in ranked[:top_k]:   # coarse grid points are distinct
-            axes = [np.clip(c + refine_delta * np.arange(-steps, steps + 1), -1.0, 1.0)
-                    for c in coarse[idx]]
+            axes = [_refine_axis(c, refine_delta, steps) for c in coarse[idx]]
             evaluated.append(evaluate(np.array(list(itertools.product(*axes)))))
 
     g_all, o_all, gs_all, ps_all = (np.concatenate(c) for c in zip(*evaluated))
@@ -356,10 +363,6 @@ def controller_harmonic(spec: ControllerSpec, grid, n=1) -> np.ndarray:
     else:
         res = hosidf(spec.reset_part, grid, n).values
     return spec.kp * res * lin
-
-
-def controller_df(spec: ControllerSpec, grid) -> np.ndarray:
-    return controller_harmonic(spec, grid, 1)
 
 
 def pi_stage(omega_i) -> TransferFunction:
@@ -487,13 +490,14 @@ def matched_sore_gamma(omega_c=None, reference_phase_deg=None,
     if reference_phase_deg is None:
         bench = build_pid(hz(CROSSOVER_HZ), PID_LEAD_RATIO, hz(INTEGRATOR_HZ),
                           hz(LOWPASS_HZ))
-        reference_phase_deg = np.degrees(np.angle(controller_df(bench, [omega_c])[0]))
+        reference_phase_deg = np.degrees(
+            np.angle(controller_harmonic(bench, [omega_c])[0]))
 
     def mismatch(g):
         spec = build_cglp_pi(omega_c=omega_c, omega_i=omega_i, omega_f=omega_f,
                              omega_r=omega_r, omega_r_alpha=omega_r_alpha,
                              beta_r=beta_r, gamma=float(g))
-        ph = np.degrees(np.angle(controller_df(spec, [omega_c])[0]))
+        ph = np.degrees(np.angle(controller_harmonic(spec, [omega_c])[0]))
         return ph - reference_phase_deg
 
     return float(brentq(mismatch, -0.999, 0.999, xtol=1e-10))
@@ -573,16 +577,9 @@ def build_cloc(variant: int, taming_factor=DEFAULT_TAMING_FACTOR) -> ControllerS
 def normalize_open_loop_gain(spec: ControllerSpec, plant, omega_c) -> float:
     """Loop gain kp putting the first-harmonic open loop at 0 dB at
     omega_c.  ``plant`` may be a TransferFunction, StateSpace, or measured
-    FrequencyResponse (interpolated)."""
-    ctrl = controller_df(spec.with_kp(1.0), np.array([float(omega_c)]))[0]
-    if isinstance(plant, FrequencyResponse):
-        pv = plant.at(omega_c)
-    elif isinstance(plant, (TransferFunction, StateSpace)):
-        pv = plant(1j * float(omega_c))
-    else:
-        raise TypeError("plant must be a TransferFunction, StateSpace, or "
-                        "FrequencyResponse")
-    mag = abs(ctrl * pv)
+    FrequencyResponse (interpolated; omega_c must lie inside its span)."""
+    ctrl = controller_harmonic(spec.with_kp(1.0), np.array([float(omega_c)]))[0]
+    mag = abs(ctrl * plant_values(plant, float(omega_c)))
     if not np.isfinite(mag) or mag == 0.0:
         raise ValueError(f"open-loop magnitude at omega_c = {omega_c:g} rad/s "
                          "is zero or undefined; cannot normalize")

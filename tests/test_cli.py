@@ -1,4 +1,5 @@
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -155,3 +156,59 @@ def test_simulate_rejects_fractional_seed(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", str(scen), "--out", str(out)]) == 2
     assert not (out / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "quantization_m = -1", "quantization_m = nan",
+    "noise_um = -2.0", "noise_um = nan",
+])
+def test_simulate_rejects_bad_sensor_values(tmp_path, line):
+    scen = tmp_path / "s.spec"
+    scen.write_text(f"controller = pid\nreference = step3um\n{line}\n")
+    assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_readme_scenario_runs_verbatim(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    after = readme.split("Scenario files name a controller and a reference:")[1]
+    block = after.split("```")[1]
+    scen = tmp_path / "s.spec"
+    scen.write_text(block.lstrip("\n"))
+    out = tmp_path / "run"
+    assert main(["simulate", str(scen), "--out", str(out)]) == 0
+    assert "status: ok" in (out / "pid_ref2_metrics.txt").read_text()
+
+
+def test_reproduce_frf_not_covering_crossover_is_input_error(tmp_path):
+    # kp normalization at 150 Hz needs the FRF there; 1-100 Hz cannot give it
+    from resetloop.lti import freq_response, log_grid, save_frf, stage_plant
+
+    frf_path = tmp_path / "plant.csv"
+    save_frf(freq_response(stage_plant(), log_grid(1.0, 100.0, 30)), frf_path)
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--out", str(out), "--plant", str(frf_path)]) == 2
+    partial = _read_manifest(out / "manifest.txt")
+    assert "01_clegg_harmonics/harmonic_01.csv" in partial
+    assert not any(rel.startswith("05_open_loop/") for rel in partial)
+
+
+def test_clegg_spec_gamma_is_honoured(tmp_path):
+    outs = {}
+    for tag, body in (("builtin", None), ("g0", "gamma = [0.0]\n"),
+                      ("g05", "gamma = [0.5]\n")):
+        spec = "clegg"
+        if body is not None:
+            spec = tmp_path / f"{tag}.spec"
+            spec.write_text("kind = clegg\n" + body)
+        out = tmp_path / tag
+        assert main(["df", str(spec), "--harmonics", "1", "3",
+                     "--out", str(out)]) == 0
+        assert main(["bode", str(spec), "--out", str(out)]) == 0
+        outs[tag] = {name: (out / name).read_bytes()
+                     for name in ("harmonic_01.csv", "harmonic_03.csv",
+                                  "bode.csv")}
+    assert outs["g0"] == outs["builtin"]
+    assert outs["g05"]["harmonic_01.csv"] != outs["g0"]["harmonic_01.csv"]
+    assert outs["g05"]["harmonic_03.csv"] != outs["g0"]["harmonic_03.csv"]
+    # the no-reset limit forces gamma to 1 whatever the spec says
+    assert outs["g05"]["bode.csv"] == outs["g0"]["bode.csv"]

@@ -11,6 +11,7 @@ from resetloop.lti import (
     lead_lag,
     load_frf,
     log_grid,
+    plant_values,
     save_frf,
     series,
     series_all,
@@ -216,3 +217,26 @@ def test_integrator_helper():
 
     tf = integrator()
     assert tf(1j * 2.0) == pytest.approx(-0.5j)
+
+
+def test_plant_values_agree_across_plant_forms():
+    plant = stage_plant()
+    grid = log_grid(1.0, 1000.0, 10)
+    ref = plant(1j * grid)
+    frf = freq_response(plant, log_grid(0.5, 2000.0, 200))
+    for model, tol in ((plant, 0.0), (tf_to_ss(plant), 1e-12), (frf, 1e-3)):
+        vals = plant_values(model, grid)
+        assert vals.shape == grid.shape
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) <= tol
+        scalar = plant_values(model, grid[3])
+        assert np.ndim(scalar) == 0 and scalar == vals[3]
+
+
+def test_plant_values_frf_undefined_outside_span():
+    frf = freq_response(stage_plant(), log_grid(1.0, 100.0, 20))
+    span = frf.omega[[0, -1]]
+    vals = plant_values(frf, [0.5 * span[0], span[0], span[1], 1.5 * span[1]])
+    assert np.isnan(vals[0]) and np.isnan(vals[3])
+    assert np.all(np.isfinite(vals[1:3]))
+    with pytest.raises(TypeError):
+        plant_values(object(), hz(10.0))

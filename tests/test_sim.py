@@ -275,6 +275,15 @@ def test_hybrid_matches_monolithic_linear_path_randomized():
         assert np.max(np.abs(hyb.y - lin.y)) / scale < 1e-8
 
 
+def test_linear_oracle_requires_clean_sensor(plant):
+    spec = _pid_spec(plant)
+    traj = generate_trajectory("step", 3e-6, 0.05)
+    for cfg in (SimConfig(duration=0.05),
+                SimConfig(duration=0.05, quantization=0.0, noise_amplitude=1e-7)):
+        with pytest.raises(ValueError, match="clean sensor"):
+            simulate_linear_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+
+
 def test_quantization_floors_measurement(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.3)
@@ -293,6 +302,29 @@ def test_divergence_reported_with_time(plant, suite):
         simulate_closed_loop(tf_to_ss(plant), suite["cloc-2"], traj, cfg)
     assert exc.value.time is not None
     assert 0 < exc.value.time < 0.4
+
+
+def test_non_finite_output_is_divergence(plant):
+    # a NaN loop gain poisons the first control sample; the output turns
+    # NaN one step later and must not be returned as a result
+    spec = _pid_spec(plant).with_kp(float("nan"))
+    cfg = SimConfig(duration=0.05)
+    traj = generate_trajectory("step", 3e-6, 0.05)
+    with pytest.raises(SimulationDiverged) as exc:
+        simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+    assert exc.value.time == cfg.dt
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(dt=float("nan")), dict(dt=float("inf")),
+    dict(duration=float("nan")), dict(duration=float("inf")),
+    dict(quantization=-1.0), dict(quantization=float("nan")),
+    dict(quantization=float("inf")),
+    dict(noise_amplitude=-2e-6), dict(noise_amplitude=float("nan")),
+])
+def test_sim_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        SimConfig(**kwargs)
 
 
 def test_feedforward_switch_requires_filter(plant):

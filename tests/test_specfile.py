@@ -73,10 +73,10 @@ def test_built_controller_matches_factory():
     spec_file = build_controller(_builtin_specs()["cloc-2"])
     spec_factory = build_cloc(2)
     grid = np.array([hz(10.0), hz(150.0), hz(900.0)])
-    from resetloop.synthesis import controller_df
+    from resetloop.synthesis import controller_harmonic
 
-    a = controller_df(spec_file, grid)
-    b = controller_df(spec_factory, grid)
+    a = controller_harmonic(spec_file, grid)
+    b = controller_harmonic(spec_factory, grid)
     assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
 
 

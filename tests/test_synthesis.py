@@ -20,7 +20,7 @@ from resetloop.synthesis import (
     build_cloc,
     build_cloc_from,
     build_pid,
-    controller_df,
+    controller_harmonic,
     crone_place,
     fit_band,
     matched_sore_gamma,
@@ -29,6 +29,7 @@ from resetloop.synthesis import (
     slope_estimate,
     split_reset,
     tune_arho,
+    _refine_axis,
 )
 
 TABLE_SIGFIG_RTOL = 5e-4   # agreement at the third significant digit
@@ -255,6 +256,18 @@ def test_tuner_is_deterministic(small_skeleton):
     assert a == b
 
 
+def test_refine_windows_share_their_overlap_exactly():
+    # windows around coarse values 0.5 and 0.4 (reached as
+    # -1 + 0.1 * 14 = 0.40000000000000013) overlap on 0.40 .. 0.50
+    a = _refine_axis(0.5, 0.01, 10)
+    b = _refine_axis(-1.0 + 0.1 * 14, 0.01, 10)
+    assert a.size == b.size == 21
+    assert np.array_equal(a[:11], b[10:])
+    # clipping keeps the window size, so the evaluated point count is fixed
+    edge = _refine_axis(1.0, 0.01, 10)
+    assert edge.size == 21 and edge.max() == 1.0 and np.sum(edge == 1.0) == 11
+
+
 def test_tuner_rejects_bad_inputs(small_skeleton):
     with pytest.raises(ValueError, match="delta"):
         tune_arho(small_skeleton, (-10.0, 60.0), delta=3.0)
@@ -345,7 +358,7 @@ def test_cloc_forced_linear_still_crosses_over(plant):
         omega_c=hz(150.0), omega_h=hz(d["band"][1]))
     kp = normalize_open_loop_gain(spec, plant, hz(150.0))
     spec = spec.with_kp(kp)
-    ol = controller_df(spec, np.array([hz(150.0)]))[0] * plant(1j * hz(150.0))
+    ol = controller_harmonic(spec, np.array([hz(150.0)]))[0] * plant(1j * hz(150.0))
     assert abs(ol) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -354,7 +367,7 @@ def test_cloc_forced_linear_still_crosses_over(plant):
 def test_normalization_puts_zero_db_at_crossover(plant, suite):
     wc = hz(150.0)
     for spec in suite.values():
-        ol = controller_df(spec, np.array([wc]))[0] * plant(1j * wc)
+        ol = controller_harmonic(spec, np.array([wc]))[0] * plant(1j * wc)
         assert 20 * np.log10(abs(ol)) == pytest.approx(0.0, abs=0.01)
 
 
@@ -363,6 +376,15 @@ def test_normalization_scales_inversely_with_plant_gain(plant):
     kp1 = normalize_open_loop_gain(spec, plant, hz(150.0))
     kp2 = normalize_open_loop_gain(spec, plant.scaled(2.0), hz(150.0))
     assert kp2 == pytest.approx(kp1 / 2.0, rel=1e-12)
+
+
+def test_normalization_outside_frf_span_is_rejected(plant, suite):
+    frf = freq_response(plant, log_grid(1.0, 100.0, 30))
+    with pytest.raises(ValueError, match="cannot normalize"):
+        normalize_open_loop_gain(suite["pid"], frf, hz(150.0))
+    kp = normalize_open_loop_gain(suite["pid"], frf, hz(50.0))
+    assert kp == pytest.approx(normalize_open_loop_gain(suite["pid"], plant,
+                                                        hz(50.0)), rel=1e-3)
 
 
 def test_pid_loop_gain_regression(plant):
@@ -389,7 +411,7 @@ def test_suite_controller_phases_match_at_crossover(suite):
     # different mechanisms; the ladders come closest but carry their
     # published, heuristic reset maps
     wc = hz(150.0)
-    phases = {name: np.degrees(np.angle(controller_df(spec, [wc])[0]))
+    phases = {name: np.degrees(np.angle(controller_harmonic(spec, [wc])[0]))
               for name, spec in suite.items()}
     ref = phases["pid"]
     assert phases["cglp-pid"] == pytest.approx(ref, abs=0.1)
