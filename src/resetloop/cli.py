@@ -30,20 +30,18 @@ from .analysis import (
     save_open_loop_csv,
 )
 from .lti import (
+    FrequencyResponse,
     SingularFrequencyError,
+    first_order_lag,
     hz,
     load_frf,
     log_grid,
+    save_response,
     stage_plant,
     tf_to_ss,
     to_hz,
 )
-from .reset import (
-    HarmonicResponse,
-    describing_function,
-    hosidf,
-    save_harmonics,
-)
+from .reset import HarmonicResponse, save_harmonics
 from .sim import (
     SimConfig,
     SimulationDiverged,
@@ -55,62 +53,71 @@ from .sim import (
 )
 from .specfile import (
     build_controller,
-    build_reset_element,
     emit_spec,
+    finite_number,
+    finite_numbers,
     parse_spec,
 )
 from .synthesis import (
     ApproxBand,
+    CGLP_FORE_HZ,
+    CGLP_PID_LEAD_RATIO,
+    CGLP_SORE_DAMPING,
+    CGLP_SORE_HZ,
     CLOC_LADDERS_HZ,
-    ControllerSpec,
+    CROSSOVER_HZ,
     CroneApprox,
+    DEFAULT_TAMING_FACTOR,
+    GFORE_GAMMA,
+    INTEGRATOR_HZ,
+    LOWPASS_HZ,
+    PID_LEAD_RATIO,
+    build_cloc,
     controller_harmonic,
     crone_place,
     fit_band,
     matched_sore_gamma,
     normalize_open_loop_gain,
+    pi_stage,
     slope_estimate,
     tune_arho,
 )
 
-_RESET_ELEMENT_KINDS = ("clegg", "fore", "sore")
-
 
 def _builtin_specs():
+    """The builtin spec dicts, every number taken from the stock design
+    constants in synthesis."""
     gs = matched_sore_gamma()
-    common = dict(omega_c_hz=150.0, omega_i_hz=15.0, omega_f_hz=1500.0, kp=1.0)
+    common = dict(omega_c_hz=CROSSOVER_HZ, omega_i_hz=INTEGRATOR_HZ,
+                  omega_f_hz=LOWPASS_HZ, kp=1.0)
+    fore_hz, sore_hz = CGLP_FORE_HZ, CGLP_SORE_HZ
     return {
         "clegg": dict(kind="clegg", label="clegg"),
-        "fore": dict(kind="fore", label="fore", omega_r_hz=50.0, gamma=(0.0,)),
-        "sore": dict(kind="sore", label="sore", omega_r_hz=78.9, beta_r=1.0,
-                     gamma=(0.0,)),
+        "fore": dict(kind="fore", label="fore", omega_r_hz=fore_hz[0],
+                     gamma=(GFORE_GAMMA,)),
+        "sore": dict(kind="sore", label="sore", omega_r_hz=sore_hz[0],
+                     beta_r=CGLP_SORE_DAMPING, gamma=(0.0,)),
         "cglp-fore": dict(kind="cglp", label="cglp-fore", filter_order=1.0,
-                          omega_r_hz=50.0, omega_r_alpha_hz=35.7,
-                          omega_f_hz=1500.0, gamma=(0.0,), kp=1.0),
+                          omega_r_hz=fore_hz[0], omega_r_alpha_hz=fore_hz[1],
+                          omega_f_hz=LOWPASS_HZ, gamma=(GFORE_GAMMA,), kp=1.0),
         "cglp-sore": dict(kind="cglp", label="cglp-sore", filter_order=2.0,
-                          omega_r_hz=78.9, omega_r_alpha_hz=68.6138,
-                          beta_r=1.0, omega_f_hz=1500.0, gamma=(gs,), kp=1.0),
-        "pid": dict(kind="pid", label="pid", a=9.13, **common),
-        "cglp-pid": dict(kind="cglp-pid", label="cglp-pid", a=2.193,
-                         omega_r_hz=50.0, omega_r_alpha_hz=35.7,
-                         gamma=(0.0,), **common),
-        "cglp-pi": dict(kind="cglp-pi", label="cglp-pi", omega_r_hz=78.9,
-                        omega_r_alpha_hz=68.6138, beta_r=1.0, gamma=(gs,),
-                        **common),
-        "cloc-1": dict(kind="cloc", label="cloc-1",
-                       poles_hz=CLOC_LADDERS_HZ[1]["poles"],
-                       zeros_hz=CLOC_LADDERS_HZ[1]["zeros"],
-                       gamma=CLOC_LADDERS_HZ[1]["gamma"],
-                       omega_l_hz=CLOC_LADDERS_HZ[1]["band"][0],
-                       omega_h_hz=CLOC_LADDERS_HZ[1]["band"][1],
-                       taming_factor=20.0, **common),
-        "cloc-2": dict(kind="cloc", label="cloc-2",
-                       poles_hz=CLOC_LADDERS_HZ[2]["poles"],
-                       zeros_hz=CLOC_LADDERS_HZ[2]["zeros"],
-                       gamma=CLOC_LADDERS_HZ[2]["gamma"],
-                       omega_l_hz=CLOC_LADDERS_HZ[2]["band"][0],
-                       omega_h_hz=CLOC_LADDERS_HZ[2]["band"][1],
-                       taming_factor=20.0, **common),
+                          omega_r_hz=sore_hz[0], omega_r_alpha_hz=sore_hz[1],
+                          beta_r=CGLP_SORE_DAMPING, omega_f_hz=LOWPASS_HZ,
+                          gamma=(gs,), kp=1.0),
+        "pid": dict(kind="pid", label="pid", a=PID_LEAD_RATIO, **common),
+        "cglp-pid": dict(kind="cglp-pid", label="cglp-pid",
+                         a=CGLP_PID_LEAD_RATIO, omega_r_hz=fore_hz[0],
+                         omega_r_alpha_hz=fore_hz[1], gamma=(GFORE_GAMMA,),
+                         **common),
+        "cglp-pi": dict(kind="cglp-pi", label="cglp-pi", omega_r_hz=sore_hz[0],
+                        omega_r_alpha_hz=sore_hz[1], beta_r=CGLP_SORE_DAMPING,
+                        gamma=(gs,), **common),
+        **{f"cloc-{v}": dict(kind="cloc", label=f"cloc-{v}",
+                             poles_hz=ladder["poles"], zeros_hz=ladder["zeros"],
+                             gamma=ladder["gamma"], omega_l_hz=ladder["band"][0],
+                             omega_h_hz=ladder["band"][1],
+                             taming_factor=DEFAULT_TAMING_FACTOR, **common)
+           for v, ladder in CLOC_LADDERS_HZ.items()},
     }
 
 
@@ -121,61 +128,26 @@ def _load_spec(name_or_path) -> dict:
     return parse_spec(name_or_path)
 
 
-def _build_cglp_filter(d) -> ControllerSpec:
-    from .synthesis import build_cglp
-
-    stage = build_cglp(int(d.get("filter_order", 1.0)), hz(d["omega_r_hz"]),
-                       hz(d["omega_r_alpha_hz"]),
-                       float(d.get("beta_r", 1.0)), hz(d["omega_f_hz"]),
-                       d["gamma"][0])
-    params = dict(omega_r=hz(d["omega_r_hz"]),
-                  omega_r_alpha=hz(d["omega_r_alpha_hz"]),
-                  omega_f=hz(d["omega_f_hz"]), gamma=tuple(d["gamma"]))
-    return ControllerSpec("cglp", d.get("label", "cglp"), (stage.lead,),
-                          stage.reset_part, float(d.get("kp", 1.0)), params)
-
-
-def _harmonic_values(d, grid, n):
-    """Harmonic gains for either a bare reset element or a controller."""
-    if d["kind"] in _RESET_ELEMENT_KINDS:
-        rs = build_reset_element(d)
-        if n == 1:
-            return describing_function(rs, grid).values
-        return hosidf(rs, grid, n).values
-    spec = _build_cglp_filter(d) if d["kind"] == "cglp" else build_controller(d)
-    return controller_harmonic(spec, grid, n)
-
-
 def _linear_values(d, grid):
-    """No-reset-limit response (every gamma forced to 1)."""
-    d = dict(d)
-    if "gamma" in d:
-        d["gamma"] = tuple(1.0 for _ in d["gamma"])
-    elif d["kind"] in _RESET_ELEMENT_KINDS:
-        d["gamma"] = (1.0,)
-    return _harmonic_values(d, grid, 1)
+    """No-reset-limit response: the spec with every gamma set to 1."""
+    spec = build_controller(d)
+    if spec.reset_part is not None:
+        spec.reset_part = spec.reset_part.with_gamma(np.ones(spec.reset_part.n_r))
+    return controller_harmonic(spec, grid, 1)
 
 
 def _write_harmonic_files(out_dir, d, grid, orders, man):
-    """harmonic_NN.csv per order; even orders and all-zero harmonics get a
-    header and a comment instead of rows."""
+    """harmonic_NN.csv per order (even orders are exact zeros)."""
+    spec = build_controller(d)
     for n in orders:
         path = os.path.join(out_dir, f"harmonic_{n:02d}.csv")
-        values = _harmonic_values(d, grid, n) if n % 2 else None
-        if values is not None and np.any(values):
-            save_harmonics(path, [HarmonicResponse(grid, n, values)])
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("freq_hz,order,mag_db,phase_deg\n")
-                fh.write("# even harmonics are exactly zero and not tabulated\n"
-                         if values is None else
-                         "# harmonic is exactly zero for this system\n")
+        values = (controller_harmonic(spec, grid, n) if n % 2
+                  else np.zeros(grid.shape))
+        save_harmonics(path, [HarmonicResponse(grid, n, values)])
         man.add(path)
 
 
 def _write_response_csv(path, grid, values):
-    from .lti import FrequencyResponse, save_response
-
     save_response(FrequencyResponse(grid, values), path)
 
 
@@ -234,12 +206,16 @@ def _skeleton_from_spec(d) -> tuple:
     """CroneApprox plus band from a skeleton file: either explicit ladder
     lists or (alpha, n_pairs, omega_l_hz, omega_h_hz)."""
     if "poles_hz" in d and "zeros_hz" in d:
-        crone = CroneApprox(tuple(hz(np.array(d["zeros_hz"]))),
-                            tuple(hz(np.array(d["poles_hz"]))), 1.0)
+        crone = CroneApprox(tuple(hz(np.array(finite_numbers(d, "zeros_hz")))),
+                            tuple(hz(np.array(finite_numbers(d, "poles_hz")))),
+                            1.0)
     elif {"alpha", "n_pairs", "omega_l_hz", "omega_h_hz"} <= d.keys():
-        band = ApproxBand(hz(d["omega_l_hz"]), hz(d["omega_h_hz"]),
-                          int(d["n_pairs"]))
-        crone = crone_place(float(d["alpha"]), band)
+        n_pairs = finite_number(d, "n_pairs")
+        if not n_pairs.is_integer():
+            raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
+        band = ApproxBand(hz(finite_number(d, "omega_l_hz")),
+                          hz(finite_number(d, "omega_h_hz")), int(n_pairs))
+        crone = crone_place(finite_number(d, "alpha"), band)
     else:
         raise ValueError("skeleton needs poles_hz/zeros_hz or "
                          "alpha/n_pairs/omega_l_hz/omega_h_hz")
@@ -288,21 +264,29 @@ _REFERENCES = {
 
 
 def _run_scenario(d, plant_tf, out_dir, man, tag=""):
-    name = d["controller"] if isinstance(d.get("controller"), str) else "custom"
-    spec_d = _load_spec(d["controller"])
-    spec = build_controller(spec_d)
-    omega_c = spec.params.get("omega_c", hz(150.0))
+    name = d["controller"]
+    if not isinstance(name, str):
+        raise ValueError(f"controller must be a builtin name or a spec path, "
+                         f"got {name!r}")
+    spec = build_controller(_load_spec(name))
+    omega_c = spec.params.get("omega_c")
+    if omega_c is None:
+        raise ValueError(f"{name!r} is not a loop controller: its spec has "
+                         "no omega_c_hz")
     spec = spec.with_kp(normalize_open_loop_gain(spec, plant_tf, omega_c))
     ref = d.get("reference", "step3um")
     if ref not in _REFERENCES:
         raise ValueError(f"unknown reference {ref!r}")
+    feedforward = d.get("feedforward", False)
+    if not isinstance(feedforward, bool):
+        raise ValueError(f"feedforward must be true or false, got {feedforward!r}")
     kind, dist, dur, hold = _REFERENCES[ref]
-    dt = float(d.get("dt_s", 1e-4))
+    dt = finite_number(d, "dt_s", 1e-4)
     cfg = SimConfig(dt=dt, duration=dur + hold,
-                    quantization=float(d.get("quantization_m", 100e-9)),
-                    noise_amplitude=float(d.get("noise_um", 0.0)) * 1e-6,
+                    quantization=finite_number(d, "quantization_m", 100e-9),
+                    noise_amplitude=finite_number(d, "noise_um", 0.0) * 1e-6,
                     noise_seed=int(d.get("seed", 0)),
-                    feedforward=bool(d.get("feedforward", False)))
+                    feedforward=feedforward)
     traj = generate_trajectory(kind, dist, dur, dt=dt, hold=hold)
     ff = None
     if cfg.feedforward:
@@ -376,7 +360,8 @@ def cmd_reproduce(args):
         grid = log_grid(1.0, 1000.0, 30)
         for tag in ("cglp-fore", "cglp-sore"):
             p1 = os.path.join(d2, f"{tag}_reset.csv")
-            _write_response_csv(p1, grid, _harmonic_values(builtins[tag], grid, 1))
+            _write_response_csv(p1, grid, controller_harmonic(
+                build_controller(builtins[tag]), grid, 1))
             p2 = os.path.join(d2, f"{tag}_linear.csv")
             _write_response_csv(p2, grid, _linear_values(builtins[tag], grid))
             man.add(p1)
@@ -388,17 +373,13 @@ def cmd_reproduce(args):
         slopes_path = os.path.join(d3, "slopes.txt")
         with open(slopes_path, "w", encoding="utf-8") as fh:
             for variant in (1, 2):
-                from .synthesis import build_cloc
-
                 spec = build_cloc(variant)
                 grid = log_grid(1.0, 5000.0, 50)
                 vals = controller_harmonic(spec, grid, 1)
                 # strip PI and low-pass to leave the bare filter
-                from .synthesis import pi_stage
-
                 pi = pi_stage(spec.params["omega_i"])
                 lpf_vals = (pi(1j * grid)
-                            * (1.0 / (1j * grid / spec.params["omega_f"] + 1)))
+                            * first_order_lag(spec.params["omega_f"])(1j * grid))
                 filt_vals = vals / lpf_vals
                 p1 = os.path.join(d3, f"cloc{variant}_filter_reset.csv")
                 _write_response_csv(p1, grid, filt_vals)
@@ -419,8 +400,7 @@ def cmd_reproduce(args):
             path = os.path.join(d4, f"{name}.spec")
             emit_spec(builtins[name], path)
             reparsed = parse_spec(path)
-            emitted = {k: v for k, v in builtins[name].items()}
-            if reparsed != emitted:
+            if reparsed != builtins[name]:
                 raise ValueError(f"spec round-trip mismatch for {name}")
             build_controller(reparsed)  # must rebuild cleanly
             man.add(path)

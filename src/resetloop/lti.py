@@ -91,10 +91,6 @@ class TransferFunction:
         return len(self.den) - 1
 
     @property
-    def relative_degree(self):
-        return len(self.den) - len(self.num)
-
-    @property
     def is_proper(self):
         return len(self.num) <= len(self.den)
 
@@ -112,9 +108,6 @@ class TransferFunction:
 
     def scaled(self, k):
         return TransferFunction(tuple(k * c for c in self.num), self.den)
-
-    def inverse(self):
-        return TransferFunction(self.den, self.num)
 
 
 def unity_tf():

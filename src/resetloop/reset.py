@@ -53,7 +53,7 @@ class ResetSystem:
             raise ValueError(f"n_r must lie in [0, {base.order}], got {n_r}")
         if gamma.shape != (n_r,):
             raise ValueError(f"gamma must have length n_r = {n_r}")
-        if np.any(gamma < -1.0) or np.any(gamma > 1.0):
+        if not np.all(np.abs(gamma) <= 1.0):
             raise ValueError("each gamma_i must lie in [-1, 1]")
         re = np.real(np.linalg.eigvals(base.A)) if base.order else np.array([])
         if np.any(re > _HURWITZ_TOL):
@@ -371,12 +371,18 @@ def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.n
 
 
 def save_harmonics(path, responses):
-    """Harmonic CSV: `freq_hz,order,mag_db,phase_deg`.  Even orders are
-    omitted (they are exactly zero)."""
+    """Harmonic CSV, one row per frequency and order: Hz, order, gain in
+    dB, unwrapped phase in degrees.  An even order and an all-zero
+    harmonic have no rows (their gain is exactly zero); each leaves a
+    comment line instead."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,order,mag_db,phase_deg\n")
         for hr in responses:
             if hr.order % 2 == 0:
+                fh.write("# even harmonics are exactly zero and not tabulated\n")
+                continue
+            if not np.any(hr.values):
+                fh.write("# harmonic is exactly zero for this system\n")
                 continue
             mag = hr.mag_db()
             ph = hr.phase_deg()

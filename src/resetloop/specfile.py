@@ -1,26 +1,33 @@
 """Controller spec files.
 
 Human-readable `key = value` text with Hz-denominated frequencies, one key
-per line, '#' comments, and `[a, b, c]` float lists.  Values round-trip
-exactly: floats are written with repr so parse(emit(parse(x))) == parse(x)
-bit for bit.
+per line, `[a, b, c]` float lists, and '#' starting a comment that runs to
+the end of its line.  Values round-trip exactly: floats are written with
+repr so parse(emit(parse(x))) == parse(x) bit for bit.
+
+``build_controller`` is the one place a parsed spec becomes a
+ControllerSpec, for every kind: the bare reset elements (clegg, fore,
+sore), the constant-gain lead stage (cglp), and the loop controllers (pid,
+cglp-pid, cglp-pi, cloc).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lti import hz, to_hz
-from .reset import ResetSystem, clegg, fore, sore
+from .lti import hz
+from .reset import clegg, fore, sore
 from .synthesis import (
     CGLP_SORE_DAMPING,
     ControllerSpec,
     DEFAULT_TAMING_FACTOR,
+    build_cglp,
     build_cglp_pi,
     build_cglp_pid,
     build_cloc_from,
     build_pid,
 )
+
 
 def parse_spec(path) -> dict:
     """Parse a `key = value` file into a flat dict: float lists in
@@ -30,8 +37,8 @@ def parse_spec(path) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`")
@@ -60,6 +67,8 @@ def parse_spec(path) -> dict:
 
 
 def emit_spec(d: dict, path):
+    """Write a spec dict as `key = value` text.  A string holding '#' or a
+    line break could not be parsed back, so it is rejected."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# resetloop controller spec\n")
         for key, val in d.items():
@@ -69,91 +78,98 @@ def emit_spec(d: dict, path):
             elif isinstance(val, bool):
                 fh.write(f"{key} = {'true' if val else 'false'}\n")
             elif isinstance(val, str):
+                if "#" in val or "\n" in val or "\r" in val:
+                    raise ValueError(f"{key} = {val!r} cannot be written: "
+                                     "'#' and line breaks do not round-trip")
                 fh.write(f"{key} = {val}\n")
             else:
                 fh.write(f"{key} = {float(val)!r}\n")
 
 
-def spec_to_dict(spec: ControllerSpec) -> dict:
-    """Flatten a ControllerSpec to the Hz-denominated file payload."""
-    p = spec.params
-    d = {"kind": spec.kind, "label": spec.label}
-    for key, fkey in (("omega_c", "omega_c_hz"), ("omega_i", "omega_i_hz"),
-                      ("omega_f", "omega_f_hz"), ("omega_r", "omega_r_hz"),
-                      ("omega_r_alpha", "omega_r_alpha_hz"),
-                      ("omega_l", "omega_l_hz"), ("omega_h", "omega_h_hz")):
-        if key in p:
-            d[fkey] = to_hz(p[key])
-    if "a" in p:
-        d["a"] = p["a"]
-    if "beta_r" in p:
-        d["beta_r"] = p["beta_r"]
-    if "poles" in p:
-        d["poles_hz"] = tuple(to_hz(np.array(p["poles"])))
-        d["zeros_hz"] = tuple(to_hz(np.array(p["zeros"])))
-    if "gamma" in p:
-        d["gamma"] = tuple(p["gamma"])
-    if "taming_factor" in p:
-        d["taming_factor"] = p["taming_factor"]
-    d["kp"] = spec.kp
-    return d
+def finite_number(d: dict, key, default=None) -> float:
+    """d[key] (or ``default`` when absent) as a finite float; ValueError
+    naming the key otherwise."""
+    v = d.get(key, default)
+    if v is None:
+        raise ValueError(f"missing key {key!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        raise ValueError(f"{key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def finite_numbers(d: dict, key, default=None) -> tuple:
+    """d[key] (or ``default`` when absent) as a non-empty tuple of finite
+    floats; a bare number counts as a one-element list.  ValueError naming
+    the key otherwise."""
+    v = d.get(key, default)
+    if v is None:
+        raise ValueError(f"missing key {key!r}")
+    v = v if isinstance(v, (tuple, list)) else (v,)
+    if not v:
+        raise ValueError(f"{key} must not be an empty list")
+    return tuple(finite_number({key: x}, key) for x in v)
+
+
+def _one_gamma(d, default=None) -> float:
+    """The reset factor of a kind whose element has a single one."""
+    gamma = finite_numbers(d, "gamma", default)
+    if len(gamma) != 1:
+        raise ValueError(f"gamma of kind {d['kind']!r} takes one value, "
+                         f"got {len(gamma)}")
+    return gamma[0]
 
 
 def build_controller(d: dict) -> ControllerSpec:
-    """Rebuild a ControllerSpec from a parsed spec dict."""
+    """Build a ControllerSpec from a parsed spec dict.  The reset element
+    kinds give a spec with no linear parts and the element as
+    ``reset_part``; only the loop controllers carry ``omega_c``."""
     kind = d["kind"]
-    kp = float(d.get("kp", 1.0))
-    if kind == "pid":
-        spec = build_pid(hz(d["omega_c_hz"]), float(d["a"]),
-                         hz(d["omega_i_hz"]), hz(d["omega_f_hz"]))
+    kp = finite_number(d, "kp", 1.0)
+
+    def omegas(*names):   # Hz-valued keys `<name>_hz`, as rad/s by name
+        return {n: hz(finite_number(d, n + "_hz")) for n in names}
+
+    def element(rs):
+        return ControllerSpec(kind, kind, (), rs, 1.0, {})
+
+    loop = ("omega_c", "omega_i", "omega_f")
+    lead = ("omega_r", "omega_r_alpha")
+    if kind == "clegg":
+        spec = element(clegg().with_gamma([_one_gamma(d, 0.0)]))
+    elif kind == "fore":
+        spec = element(fore(**omegas("omega_r"), gamma=_one_gamma(d, 0.0)))
+    elif kind == "sore":
+        spec = element(sore(**omegas("omega_r"),
+                            damping=finite_number(d, "beta_r", 1.0),
+                            gamma=finite_numbers(d, "gamma", 0.0)))
+    elif kind == "cglp":
+        params, gamma = omegas(*lead, "omega_f"), _one_gamma(d)
+        stage = build_cglp(finite_number(d, "filter_order", 1.0),
+                           beta_r=finite_number(d, "beta_r", 1.0), gamma=gamma,
+                           **params)
+        spec = ControllerSpec(kind, kind, (stage.lead,), stage.reset_part,
+                              1.0, dict(params, gamma=(gamma,)))
+    elif kind == "pid":
+        spec = build_pid(a=finite_number(d, "a"), **omegas(*loop))
     elif kind == "cglp-pid":
-        spec = build_cglp_pid(omega_c=hz(d["omega_c_hz"]), a=float(d["a"]),
-                              omega_i=hz(d["omega_i_hz"]),
-                              omega_f=hz(d["omega_f_hz"]),
-                              omega_r=hz(d["omega_r_hz"]),
-                              omega_r_alpha=hz(d["omega_r_alpha_hz"]),
-                              gamma=d["gamma"][0])
+        spec = build_cglp_pid(a=finite_number(d, "a"), gamma=_one_gamma(d),
+                              **omegas(*loop, *lead))
     elif kind == "cglp-pi":
-        spec = build_cglp_pi(omega_c=hz(d["omega_c_hz"]),
-                             omega_i=hz(d["omega_i_hz"]),
-                             omega_f=hz(d["omega_f_hz"]),
-                             omega_r=hz(d["omega_r_hz"]),
-                             omega_r_alpha=hz(d["omega_r_alpha_hz"]),
-                             beta_r=float(d.get("beta_r", CGLP_SORE_DAMPING)),
-                             gamma=d["gamma"][0])
+        spec = build_cglp_pi(
+            beta_r=finite_number(d, "beta_r", CGLP_SORE_DAMPING),
+            gamma=_one_gamma(d), **omegas(*loop, *lead))
     elif kind == "cloc":
+        band = [n for n in ("omega_l", "omega_h") if n + "_hz" in d]
         spec = build_cloc_from(
-            poles=hz(np.array(d["poles_hz"])),
-            zeros=hz(np.array(d["zeros_hz"])),
-            gamma=d["gamma"],
-            omega_i=hz(d["omega_i_hz"]),
-            omega_f=hz(d["omega_f_hz"]),
-            omega_c=hz(d["omega_c_hz"]),
-            omega_l=hz(d["omega_l_hz"]) if "omega_l_hz" in d else None,
-            omega_h=hz(d["omega_h_hz"]) if "omega_h_hz" in d else None,
-            taming_factor=float(d.get("taming_factor", DEFAULT_TAMING_FACTOR)),
-            label=d.get("label", "cloc"),
-        )
+            poles=hz(np.array(finite_numbers(d, "poles_hz"))),
+            zeros=hz(np.array(finite_numbers(d, "zeros_hz"))),
+            gamma=finite_numbers(d, "gamma"),
+            taming_factor=finite_number(d, "taming_factor",
+                                        DEFAULT_TAMING_FACTOR),
+            **omegas(*loop, *band))
     else:
         raise ValueError(f"unknown controller kind {kind!r}")
-    if d.get("label"):
-        spec.label = d["label"]
+    spec.label = d.get("label") or kind
+    if not isinstance(spec.label, str):
+        raise ValueError(f"label must be text, got {spec.label!r}")
     return spec.with_kp(kp)
-
-
-def _scalar_gamma(d, default=0.0):
-    g = d.get("gamma", default)
-    return float(g[0]) if isinstance(g, (tuple, list)) else float(g)
-
-
-def build_reset_element(d: dict) -> ResetSystem:
-    """Reset elements for harmonic analysis: kinds clegg, fore, sore."""
-    kind = d["kind"]
-    if kind == "clegg":
-        return clegg().with_gamma([_scalar_gamma(d)])
-    if kind == "fore":
-        return fore(hz(d["omega_r_hz"]), _scalar_gamma(d))
-    if kind == "sore":
-        return sore(hz(d["omega_r_hz"]), float(d.get("beta_r", 1.0)),
-                    _scalar_gamma(d))
-    raise ValueError(f"not a reset element kind: {kind!r}")

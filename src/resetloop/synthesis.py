@@ -465,6 +465,8 @@ def build_cglp_pid(omega_c=None, a=CGLP_PID_LEAD_RATIO, omega_i=None,
     omega_f = hz(LOWPASS_HZ) if omega_f is None else omega_f
     omega_r = hz(CGLP_FORE_HZ[0]) if omega_r is None else omega_r
     omega_r_alpha = hz(CGLP_FORE_HZ[1]) if omega_r_alpha is None else omega_r_alpha
+    if a < 1.0:
+        raise ValueError("lead ratio a must be >= 1")
     stage = build_cglp(1, omega_r, omega_r_alpha, 1.0, omega_f, gamma)
     omega_d, omega_t = omega_c / a, a * omega_c
     if not (omega_i < omega_d <= omega_t < omega_f):

@@ -1,10 +1,16 @@
 import hashlib
 import pathlib
 
+import time
+
 import numpy as np
 import pytest
 
-from resetloop.cli import main
+from resetloop.cli import _builtin_specs, main
+from resetloop.specfile import emit_spec
+
+BUILTIN_NAMES = ["clegg", "fore", "sore", "cglp-fore", "cglp-sore", "pid",
+                 "cglp-pid", "cglp-pi", "cloc-1", "cloc-2"]
 
 
 def _read_manifest(path):
@@ -212,3 +218,85 @@ def test_clegg_spec_gamma_is_honoured(tmp_path):
     assert outs["g05"]["harmonic_03.csv"] != outs["g0"]["harmonic_03.csv"]
     # the no-reset limit forces gamma to 1 whatever the spec says
     assert outs["g05"]["bode.csv"] == outs["g0"]["bode.csv"]
+
+
+def _assert_finite_csvs(out):
+    for path in out.glob("*.csv"):
+        text = path.read_text().lower()
+        assert "nan" not in text and "inf" not in text, path
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_df_and_bode_accept_every_builtin(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["df", name, "--harmonics", "1", "2", "3", "--fmin-hz", "1",
+                 "--fmax-hz", "1000", "--points-per-decade", "10",
+                 "--out", str(out)]) == 0
+    assert main(["bode", name, "--fmin-hz", "1", "--fmax-hz", "1000",
+                 "--points-per-decade", "10", "--out", str(out)]) == 0
+    first = (out / "harmonic_01.csv").read_text().splitlines()
+    assert first[0] == "freq_hz,order,mag_db,phase_deg" and len(first) == 32
+    assert len((out / "bode.csv").read_text().splitlines()) == 32
+    _assert_finite_csvs(out)
+
+
+@pytest.mark.parametrize("controller", ["fore", "cglp-fore"])
+def test_simulate_rejects_a_bare_element(tmp_path, controller, capsys):
+    scen = tmp_path / "s.spec"
+    scen.write_text(f"controller = {controller}\nreference = step3um\n")
+    assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
+    assert "not a loop controller" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "feedforward = no", "feedforward = 1.0", "dt_s = [1e-4]",
+    "noise_um = [2.0]", "quantization_m = [1e-7]", "controller = 5.0",
+])
+def test_simulate_rejects_malformed_scenario_values(tmp_path, line):
+    scen = tmp_path / "s.spec"
+    scen.write_text(f"controller = pid\nreference = step3um\n{line}\n")
+    assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_simulate_feedforward_false_equals_absent(tmp_path):
+    outs = []
+    for tag, extra in (("absent", ""), ("false", "feedforward = false\n")):
+        scen = tmp_path / f"{tag}.spec"
+        scen.write_text("controller = pid\nreference = step3um\n" + extra)
+        out = tmp_path / tag
+        assert main(["simulate", str(scen), "--out", str(out)]) == 0
+        outs.append({name: (out / name).read_bytes()
+                     for name in ("pid_step3um.csv",
+                                  "pid_step3um_metrics.txt")})
+    assert outs[0] == outs[1]
+
+
+def _mutations(value):
+    """A scalar for a list, a list for a scalar, an empty list, nan."""
+    if isinstance(value, tuple):
+        yield value[0]
+    else:
+        yield (value,) if isinstance(value, float) else (1.0,)
+    yield ()
+    yield float("nan")
+
+
+def test_df_mutation_sweep_never_crashes_or_writes_non_finite(tmp_path):
+    # every single-key mutation of every builtin either runs or is
+    # rejected: exit 0, 2 or 3, never a traceback, never nan/inf in a CSV
+    runs = 0
+    for name, d in _builtin_specs().items():
+        for key, value in d.items():
+            for k, mutated in enumerate(_mutations(value)):
+                out = tmp_path / f"{name}_{key}_{k}"
+                spec = tmp_path / f"{name}_{key}_{k}.spec"
+                emit_spec(dict(d, **{key: mutated}), spec)
+                start = time.perf_counter()
+                rc = main(["df", str(spec), "--fmin-hz", "10", "--fmax-hz",
+                           "1000", "--points-per-decade", "5",
+                           "--out", str(out)])
+                assert time.perf_counter() - start < 3.0, (name, key, mutated)
+                assert rc in (0, 2, 3), (name, key, mutated, rc)
+                _assert_finite_csvs(out)
+                runs += 1
+    assert runs == 3 * sum(len(d) for d in _builtin_specs().values())

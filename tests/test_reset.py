@@ -138,6 +138,12 @@ def test_gamma_bounds_enforced():
         ResetSystem(base, 1, [0.1, 0.2])
 
 
+def test_nan_gamma_rejected():
+    base = StateSpace([[-1.0]], [[1.0]], [[1.0]], 0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        ResetSystem(base, 1, [float("nan")])
+
+
 def test_marginal_base_needs_flag():
     base = StateSpace([[0.0]], [[1.0]], [[1.0]], 0.0)
     with pytest.raises(ValueError, match="marginal"):
@@ -267,3 +273,18 @@ def test_save_harmonics_csv(tmp_path):
     assert lines[0] == "freq_hz,order,mag_db,phase_deg"
     orders = {int(ln.split(",")[1]) for ln in lines[1:]}
     assert orders == {1, 3, 5}
+
+
+def test_save_harmonics_writes_a_stub_for_zero_harmonics(tmp_path):
+    from resetloop.reset import save_harmonics
+
+    grid = np.array([hz(1.0), hz(10.0)])
+    path = tmp_path / "h.csv"
+    save_harmonics(path, [HarmonicResponse(grid, 2, np.zeros(2))])
+    assert path.read_text().splitlines() == [
+        "freq_hz,order,mag_db,phase_deg",
+        "# even harmonics are exactly zero and not tabulated"]
+    save_harmonics(path, [hosidf(clegg().with_gamma([1.0]), grid, 3)])
+    assert path.read_text().splitlines() == [
+        "freq_hz,order,mag_db,phase_deg",
+        "# harmonic is exactly zero for this system"]

@@ -5,12 +5,12 @@ from resetloop.cli import _builtin_specs
 from resetloop.lti import hz
 from resetloop.specfile import (
     build_controller,
-    build_reset_element,
     emit_spec,
+    finite_number,
+    finite_numbers,
     parse_spec,
-    spec_to_dict,
 )
-from resetloop.synthesis import build_cloc, build_pid
+from resetloop.synthesis import build_benchmark_suite, controller_harmonic
 
 
 @pytest.mark.parametrize("name", ["pid", "cglp-pid", "cglp-pi", "cloc-1",
@@ -70,14 +70,14 @@ def test_build_controller_from_builtin(name):
 
 
 def test_built_controller_matches_factory():
-    spec_file = build_controller(_builtin_specs()["cloc-2"])
-    spec_factory = build_cloc(2)
+    # the builtin table and the stock factories share one set of constants
     grid = np.array([hz(10.0), hz(150.0), hz(900.0)])
-    from resetloop.synthesis import controller_harmonic
-
-    a = controller_harmonic(spec_file, grid)
-    b = controller_harmonic(spec_factory, grid)
-    assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
+    suite = build_benchmark_suite()
+    for name in ("pid", "cglp-pid", "cglp-pi", "cloc-1", "cloc-2"):
+        spec_file = build_controller(_builtin_specs()[name])
+        a = controller_harmonic(spec_file, grid)
+        b = controller_harmonic(suite[name], grid)
+        assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12, name
 
 
 def test_unknown_kind_rejected():
@@ -85,24 +85,86 @@ def test_unknown_kind_rejected():
         build_controller({"kind": "mystery"})
 
 
-def test_spec_to_dict_round_trips_pid(tmp_path):
-    spec = build_pid(hz(150.0), 9.13, hz(15.0), hz(1500.0))
-    d = spec_to_dict(spec)
-    assert d["kind"] == "pid"
-    assert d["a"] == 9.13
-    assert d["omega_c_hz"] == pytest.approx(150.0, rel=1e-15)
-    rebuilt = build_controller(d)
-    assert rebuilt.params["omega_d"] == pytest.approx(spec.params["omega_d"])
-
-
 def test_build_reset_element_kinds():
-    c = build_reset_element({"kind": "clegg"})
+    c = build_controller({"kind": "clegg"}).reset_part
     assert c.order == 1
-    f = build_reset_element({"kind": "fore", "omega_r_hz": 50.0,
-                             "gamma": (0.3,)})
+    f = build_controller({"kind": "fore", "omega_r_hz": 50.0,
+                          "gamma": (0.3,)}).reset_part
     assert f.gamma[0] == 0.3
-    s = build_reset_element({"kind": "sore", "omega_r_hz": 78.9,
-                             "beta_r": 0.8, "gamma": 0.1})
+    s = build_controller({"kind": "sore", "omega_r_hz": 78.9,
+                          "beta_r": 0.8, "gamma": 0.1}).reset_part
     assert s.order == 2
-    with pytest.raises(ValueError, match="reset element"):
-        build_reset_element({"kind": "pid"})
+    # a pid is a loop controller, not a reset element
+    assert build_controller(_builtin_specs()["pid"]).reset_part is None
+
+
+def test_reset_element_specs_are_not_loop_controllers():
+    for name in ("clegg", "fore", "sore"):
+        spec = build_controller(_builtin_specs()[name])
+        assert spec.linear_parts == () and "omega_c" not in spec.params
+        assert spec.label == name and spec.kp == 1.0
+
+
+def test_sore_spec_honours_a_gamma_pair():
+    s = build_controller({"kind": "sore", "omega_r_hz": 78.9,
+                          "gamma": (0.1, -0.2)}).reset_part
+    assert tuple(s.gamma) == (0.1, -0.2)
+
+
+def test_inline_comments_are_stripped(tmp_path):
+    path = tmp_path / "c.spec"
+    path.write_text("kind = pid   # the benchmark\nlabel = mine   # my note\n"
+                    "a = 9.13#ratio\ngamma = [0.1, 0.2]  # two\n#whole line\n")
+    assert parse_spec(path) == {"kind": "pid", "label": "mine", "a": 9.13,
+                                "gamma": (0.1, 0.2)}
+
+
+@pytest.mark.parametrize("label", ["mine # note", "two\nlines", "cr\rlf"])
+def test_emit_rejects_strings_that_cannot_round_trip(tmp_path, label):
+    with pytest.raises(ValueError, match="round-trip"):
+        emit_spec({"kind": "pid", "label": label}, tmp_path / "x.spec")
+
+
+def test_finite_number_readers():
+    d = {"a": 2.0, "n": 3, "g": (0.1, -0.2), "s": 0.5}
+    assert finite_number(d, "a") == 2.0 and finite_number(d, "n") == 3.0
+    assert finite_number(d, "b", 1.5) == 1.5
+    assert finite_numbers(d, "g") == (0.1, -0.2)
+    assert finite_numbers(d, "s") == (0.5,)
+    assert finite_numbers(d, "h", 0.0) == (0.0,)
+    for bad in (float("nan"), float("inf"), (1.0,), "x", True):
+        with pytest.raises(ValueError, match="kp"):
+            finite_number({"kp": bad}, "kp")
+    for bad in ((), (1.0, float("nan")), ("x",), "x", float("-inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            finite_numbers({"gamma": bad}, "gamma")
+    with pytest.raises(ValueError, match="'a'"):
+        finite_number({}, "a")
+
+
+@pytest.mark.parametrize("name,key,value,err", [
+    ("cglp-pid", "gamma", (0.1, 0.2), "gamma"),
+    ("cglp-pid", "gamma", (), "gamma"),
+    ("cglp-pid", "a", 0.0, "lead ratio"),
+    ("cloc-1", "poles_hz", 5.0, "equally long"),
+    ("cloc-1", "taming_factor", float("nan"), "taming_factor"),
+    ("pid", "kp", float("inf"), "kp"),
+    ("pid", "kp", float("nan"), "kp"),
+    ("pid", "label", 3.0, "label"),
+    ("cglp-fore", "filter_order", 1.5, "filter_order"),
+    ("fore", "gamma", (0.1, 0.2), "gamma"),
+    ("clegg", "gamma", float("nan"), "gamma"),
+])
+def test_malformed_values_are_rejected(name, key, value, err):
+    d = dict(_builtin_specs()[name], **{key: value})
+    with pytest.raises(ValueError, match=err):
+        build_controller(d)
+
+
+def test_scalar_gamma_counts_as_a_one_element_list():
+    d = _builtin_specs()["cglp-pid"]
+    grid = np.array([hz(50.0), hz(150.0)])
+    a = controller_harmonic(build_controller(dict(d, gamma=0.5)), grid)
+    b = controller_harmonic(build_controller(dict(d, gamma=(0.5,))), grid)
+    c = controller_harmonic(build_controller(d), grid)
+    assert np.array_equal(a, b) and not np.array_equal(a, c)

@@ -17,6 +17,7 @@ from resetloop.synthesis import (
     CroneApprox,
     PHASE_SLOPE_PER_BETA,
     build_cglp,
+    build_cglp_pid,
     build_cloc,
     build_cloc_from,
     build_pid,
@@ -326,6 +327,13 @@ def test_build_cglp_cancellation_limit():
     combined = lag * stage.lead(1j * grid)
     ref = first_order_lag(wf)(1j * grid)
     assert np.max(np.abs(combined - ref) / np.abs(ref)) < 1e-9
+
+
+def test_build_cglp_pid_rejects_lead_ratio_below_one():
+    with pytest.raises(ValueError, match="lead ratio"):
+        build_cglp_pid(a=0.0)
+    with pytest.raises(ValueError, match="lead ratio"):
+        build_cglp_pid(a=0.5)
 
 
 def test_build_cglp_rejects_bad_ordering():
