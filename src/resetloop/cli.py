@@ -179,6 +179,9 @@ class Manifest:
 
 
 def cmd_df(args):
+    if min(args.harmonics) < 1:
+        raise ValueError("--harmonics takes orders >= 1, "
+                         f"got {min(args.harmonics)}")
     d = _load_spec(args.spec)
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
     os.makedirs(args.out, exist_ok=True)
@@ -229,7 +232,8 @@ def cmd_tune(args):
                        delta=args.delta)
     os.makedirs(args.out, exist_ok=True)
     man = Manifest("tune", args.out)
-    tuned = dict(d)
+    # the placed ladder replaces the placement keys, which a cloc does not read
+    tuned = {k: v for k, v in d.items() if k not in ("alpha", "n_pairs")}
     tuned["kind"] = d.get("kind", "cloc")
     tuned["poles_hz"] = tuple(to_hz(np.array(crone.poles)))
     tuned["zeros_hz"] = tuple(to_hz(np.array(crone.zeros)))

@@ -94,17 +94,10 @@ class TransferFunction:
     def is_proper(self):
         return len(self.num) <= len(self.den)
 
-    @property
-    def is_strictly_proper(self):
-        return len(self.num) < len(self.den)
-
     def __call__(self, s):
         """Evaluate at complex s (scalar or array)."""
         s = np.asarray(s, dtype=complex)
         return np.polyval(self.num, s) / np.polyval(self.den, s)
-
-    def dc_gain(self):
-        return self(0.0 + 0.0j)
 
     def scaled(self, k):
         return TransferFunction(tuple(k * c for c in self.num), self.den)

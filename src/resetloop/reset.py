@@ -14,14 +14,23 @@ jump enters every harmonic only through v(omega, gamma) = Delta (x -
 Lambda^-1 B), where x solves (I + diag(gamma) E) x = diag(gamma) Delta
 Lambda^-1 B.  The first harmonic is C (jwI - A)^-1 (B - j (2w^2/pi) v) + D
 and harmonic n >= 3 is -j (2w^2/pi) C (jnwI - A)^-1 v.  The kernel computes
-the frequency-only pieces once per call (one stacked ``expm`` over the
-grid) and solves for x in blocks of (omega, gamma) points: by forward
-substitution when A is lower triangular, by batched LAPACK otherwise.
+the frequency-only pieces once per call and solves for x in blocks of
+(omega, gamma) points: by forward substitution when A is lower triangular,
+by batched LAPACK otherwise.
+
+E is taken over the whole grid by the route A's structure allows: ``exp``
+for one state (clegg, fore); divided differences of the exponential for a
+lower-bidiagonal A (every lag chain, so every ladder and cloc design),
+exact for repeated poles too; the closed form e^{mu t} (cosh(d t) I +
+sinh(d t)/d (A - mu I)) for a 2x2 A (the sore companion form); scipy's
+``expm`` for anything else.  The simulator keeps scipy's ``expm``, so the
+time-domain oracle shares no exponential code with the closed form.
 Everything is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,8 @@ _HURWITZ_TOL = 1e-9
 _COND_LIMIT = 1e14
 #: (omega, gamma) points per resolvent block: bounds the kernel's working memory
 _BLOCK_POINTS = 1 << 15
+#: terms of the divided-difference Taylor series (see _dd_taylor)
+_TAYLOR_TERMS = 18
 
 
 class ResetSystem:
@@ -194,10 +205,91 @@ def _guard(cond, omega, what):
                                      f"(condition estimate {c:.3g})", omega=w, cond=c)
 
 
+def _expm_grid(A, t):
+    """e^{t_k A} stacked over the positive steps t (F,): an (F, n, n)
+    array, by the route A's structure allows (see the module docstring)."""
+    n = A.shape[0]
+    if n == 1:
+        return np.exp(t * A[0, 0])[:, None, None]
+    if not (np.triu(A, 1).any() or np.tril(A, -2).any()):
+        return _expm_bidiagonal(A, t)
+    if n == 2:
+        return _expm_2x2(A, t)
+    return expm(t[:, None, None] * A)
+
+
+def _expm_bidiagonal(A, t):
+    """Lower-bidiagonal A: E_ij = t^(i-j) prod(A[k, k-1], k = j+1..i)
+    exp[x_j..x_i] with x = t diag(A) (Opitz).  Each divided difference
+    exp[S] is carried as exp[S] e^(-max x_S), which cannot overflow;
+    e^(max x_S) is applied last.  Where the points of S spread by more
+    than 1 it comes from the recurrence that drops the smallest or the
+    largest point, elsewhere from its Taylor series about the largest
+    point (McCurdy, Ng and Parlett, Math. Comp. 1984).  Sorting S makes
+    the recurrence divide by the spread itself, whatever the pole order."""
+    a, b = np.diag(A), np.diag(A, -1)
+    x = t[:, None] * a
+    scaled = {}
+
+    def dd(S):   # S: indices sorted by a, so by x at every t > 0
+        if S not in scaled:
+            top = x[:, S[-1]]
+            spread = top - x[:, S[0]]
+            near = spread <= 1.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = (dd(S[1:]) - dd(S[:-1]) * np.exp(x[:, S[-2]] - top)) / spread
+            y = x[near][:, S[:-1]] - top[near, None]
+            val[near] = _dd_taylor(y)
+            scaled[S] = val
+        return scaled[S]
+
+    n = a.size
+    for k in range(n):
+        scaled[(k,)] = np.ones_like(t)
+    E = np.zeros((t.size, n, n))
+    for j in range(n):
+        for i in range(j, n):
+            S = tuple(sorted(range(j, i + 1), key=lambda k: a[k]))
+            coef = np.prod(b[j:i]) * t ** (i - j)
+            E[:, i, j] = coef * dd(S) * np.exp(x[:, S[-1]])
+    return E
+
+
+def _dd_taylor(y):
+    """exp[y_1..y_p, 0] = sum_m h_m(y) / (m + p)! for points y (F, p) in
+    [-1, 0], h_m the complete homogeneous symmetric polynomials.  Term m is
+    at most 1 / (m! p!) and the sum at least e^-1 / p!, so
+    ``_TAYLOR_TERMS`` terms leave a relative truncation below 3e-17."""
+    p = y.shape[1]
+    h = [np.ones(y.shape[0])] + [np.zeros(y.shape[0])] * _TAYLOR_TERMS
+    for k in range(p):   # h_m(y_1..y_k) = h_m(y_1..y_k-1) + y_k h_m-1(y_1..y_k)
+        for m in range(1, _TAYLOR_TERMS + 1):
+            h[m] = h[m] + y[:, k] * h[m - 1]
+    return sum(hm / math.factorial(m + p) for m, hm in enumerate(h))
+
+
+def _expm_2x2(A, t):
+    """e^{tA} = e^{mu t} (cosh(d t) I + sinh(d t)/d (A - mu I)) with
+    mu = tr(A) / 2 and d^2 = ((a11 - a22) / 2)^2 + a12 a21, exact at d = 0.
+    A real pair is written with e^{(mu + d) t} and e^{(mu - d) t}, which
+    cannot meet 0 * inf as e^{mu t} cosh(d t) can."""
+    mu = 0.5 * (A[0, 0] + A[1, 1])
+    d2 = (0.5 * (A[0, 0] - A[1, 1])) ** 2 + A[0, 1] * A[1, 0]
+    if d2 < 0:   # complex pair mu +- j w
+        w, e = np.sqrt(-d2), np.exp(mu * t)
+        c, s = e * np.cos(w * t), e * np.sin(w * t) / w
+    else:
+        d = np.sqrt(d2)
+        hi, lo = np.exp((mu + d) * t), np.exp((mu - d) * t)
+        c = 0.5 * (hi + lo)
+        s = hi * t if d == 0 else -hi * np.expm1(-2.0 * d * t) / (2.0 * d)
+    return c[:, None, None] * np.eye(2) + s[:, None, None] * (A - mu * np.eye(2))
+
+
 def _frequency_matrices(A, grid):
     """E = e^{(pi/omega) A} and Lambda = omega^2 I + A^2 stacked over the
     grid, (F, n, n) each."""
-    E = expm((np.pi / grid)[:, None, None] * A)
+    E = _expm_grid(A, np.pi / grid)
     lam = (grid**2)[:, None, None] * np.eye(A.shape[0]) + A @ A
     _guard(np.linalg.cond(lam), grid, "Lambda(omega)")
     return E, lam

@@ -119,10 +119,25 @@ def _one_gamma(d, default=None) -> float:
     return gamma[0]
 
 
+class _Reads(dict):
+    """A spec dict that records the keys looked up in it with ``get``."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.read = {"kind", "label", "kp"}
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def build_controller(d: dict) -> ControllerSpec:
     """Build a ControllerSpec from a parsed spec dict.  The reset element
     kinds give a spec with no linear parts and the element as
-    ``reset_part``; only the loop controllers carry ``omega_c``."""
+    ``reset_part``; only the loop controllers carry ``omega_c``.  A key
+    the kind does not read is rejected, so a misspelt one cannot fall back
+    to a default unnoticed."""
+    d = _Reads(d)
     kind = d["kind"]
     kp = finite_number(d, "kp", 1.0)
 
@@ -144,9 +159,10 @@ def build_controller(d: dict) -> ControllerSpec:
                             gamma=finite_numbers(d, "gamma", 0.0)))
     elif kind == "cglp":
         params, gamma = omegas(*lead, "omega_f"), _one_gamma(d)
-        stage = build_cglp(finite_number(d, "filter_order", 1.0),
-                           beta_r=finite_number(d, "beta_r", 1.0), gamma=gamma,
-                           **params)
+        order = finite_number(d, "filter_order", 1.0)
+        # only the second-order lag has a damping
+        beta_r = finite_number(d, "beta_r", 1.0) if order == 2 else 1.0
+        stage = build_cglp(order, beta_r=beta_r, gamma=gamma, **params)
         spec = ControllerSpec(kind, kind, (stage.lead,), stage.reset_part,
                               1.0, dict(params, gamma=(gamma,)))
     elif kind == "pid":
@@ -169,6 +185,10 @@ def build_controller(d: dict) -> ControllerSpec:
             **omegas(*loop, *band))
     else:
         raise ValueError(f"unknown controller kind {kind!r}")
+    unread = sorted(set(d) - d.read)
+    if unread:
+        raise ValueError(f"kind {kind!r} does not take key(s) "
+                         f"{', '.join(map(repr, unread))}")
     spec.label = d.get("label") or kind
     if not isinstance(spec.label, str):
         raise ValueError(f"label must be text, got {spec.label!r}")

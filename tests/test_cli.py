@@ -81,6 +81,19 @@ def test_tune_degenerate_delta(tmp_path):
     assert all(-1.0 <= g <= 1.0 for g in tuned["gamma"])
 
 
+def test_tuned_spec_from_a_placement_skeleton_builds(tmp_path):
+    skel = tmp_path / "skel.spec"
+    skel.write_text("kind = cloc\nalpha = -0.5\nn_pairs = 2\n"
+                    "omega_l_hz = 10.0\nomega_h_hz = 1000.0\n"
+                    "omega_c_hz = 150.0\nomega_i_hz = 15.0\nomega_f_hz = 1500.0\n")
+    out = tmp_path / "tune"
+    assert main(["tune", str(skel), "--target-gain-slope", "-10",
+                 "--target-phase-slope", "60", "--delta", "2",
+                 "--out", str(out)]) == 0
+    assert main(["df", str(out / "tuned.spec"), "--harmonics", "1",
+                 "--out", str(tmp_path / "df")]) == 0
+
+
 def test_simulate_stable_scenario(tmp_path):
     scen = tmp_path / "s.spec"
     scen.write_text("controller = pid\nreference = step3um\nseed = 3\n")
@@ -300,3 +313,26 @@ def test_df_mutation_sweep_never_crashes_or_writes_non_finite(tmp_path):
                 _assert_finite_csvs(out)
                 runs += 1
     assert runs == 3 * sum(len(d) for d in _builtin_specs().values())
+
+
+def test_df_rejects_every_misspelt_builtin_key(tmp_path):
+    # a misspelt key must not fall back to a default: each key of each
+    # builtin, written with its last letter doubled, is an input error
+    for name, d in _builtin_specs().items():
+        for key in d:
+            spec = tmp_path / f"{name}_{key}.spec"
+            emit_spec({(k + k[-1] if k == key else k): v for k, v in d.items()},
+                      spec)
+            rc = main(["df", str(spec), "--fmin-hz", "10", "--fmax-hz", "1000",
+                       "--points-per-decade", "5",
+                       "--out", str(tmp_path / f"{name}_{key}")])
+            assert rc == 2, (name, key)
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_df_rejects_harmonic_orders_below_one(tmp_path, order, capsys):
+    out = tmp_path / "o"
+    assert main(["df", "clegg", "--harmonics", "1", order, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--harmonics" in err and "hosidf" not in err
+    assert not out.exists()

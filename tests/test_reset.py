@@ -1,8 +1,14 @@
+from unittest import mock
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import resetloop.reset
+import resetloop.sim
 from conftest import random_stable_tf
 from resetloop.lti import (
     SingularFrequencyError,
@@ -15,6 +21,7 @@ from resetloop.lti import (
 from resetloop.reset import (
     HarmonicResponse,
     ResetSystem,
+    _expm_grid,
     _harmonics,
     clegg,
     describing_function,
@@ -26,6 +33,7 @@ from resetloop.reset import (
     sore,
     theta_d,
 )
+from resetloop.synthesis import ApproxBand, crone_place
 
 CLEGG_MAG = np.sqrt(1 + 16 / np.pi**2)      # |1 + 4j/pi|
 CLEGG_PHASE = -np.degrees(np.arctan(np.pi / 4))   # -38.146 deg
@@ -288,3 +296,83 @@ def test_save_harmonics_writes_a_stub_for_zero_harmonics(tmp_path):
     assert path.read_text().splitlines() == [
         "freq_hz,order,mag_db,phase_deg",
         "# harmonic is exactly zero for this system"]
+
+
+_rates = st.floats(0.5, 500.0)
+
+
+@st.composite
+def _chains(draw):
+    poles = draw(st.lists(_rates, min_size=1, max_size=4))
+    offsets = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+                            max_size=len(poles)))
+    # repeated and near-repeated poles, in any order along the chain
+    poles += [p * (1.0 + r) for p, r in zip(poles, offsets)]
+    return lag_chain(draw(st.permutations(poles)), np.zeros(len(poles))).base.A
+
+
+_STRUCTURED = {
+    "lag chain": _chains(),
+    "sore, damping < 1": st.builds(lambda w, z: sore(w, z).base.A,
+                                   _rates, st.floats(0.05, 0.95)),
+    "sore, damping 1": st.builds(lambda w: sore(w, 1.0).base.A, _rates),
+    "sore, damping > 1": st.builds(lambda w, z: sore(w, z).base.A,
+                                   _rates, st.floats(1.05, 3.0)),
+    "fore": st.builds(lambda w: fore(w).base.A, _rates),
+    "clegg": st.just(clegg().base.A),
+}
+
+
+@pytest.mark.parametrize("kind", list(_STRUCTURED))
+@given(st.data())
+def test_expm_grid_matches_scipy(kind, data):
+    A = data.draw(_STRUCTURED[kind])
+    # scipy's own error grows with t rho(A): against 40-digit mpmath it
+    # reaches 1.1e-12 at t rho = 10 on a sore, so the steps stop at 4
+    rho = np.max(np.abs(np.linalg.eigvals(A))) or 1.0
+    t = np.logspace(-3.0, np.log10(4.0), 40) / rho
+    # every structure the library builds takes a closed form, never scipy
+    with mock.patch.object(resetloop.reset, "expm",
+                           side_effect=AssertionError("scipy route taken")):
+        E = _expm_grid(A, t)
+    Q = np.eye(A.shape[0])
+    if kind == "lag chain":
+        # scipy's triangular fix-up loses up to 1e-5 on near-repeated
+        # poles (seen on a chain with poles 1e-12 apart), so it gets an
+        # orthogonally rotated copy, which it treats as a full matrix
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal(A.shape))[0]
+    ref = Q.T @ scipy.linalg.expm(t[:, None, None] * (Q @ A @ Q.T)) @ Q
+    err = np.linalg.norm(E - ref, axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+def test_expm_grid_ladder_matches_mpmath():
+    # the 5-pair s^-0.5 ladder on 5-2000 Hz over the 0.1 Hz - 5 kHz grid,
+    # against the partial-fraction form E_ij = prod(A[k, k-1], k = j+1..i)
+    # sum_k e^(t a_k) / prod_(m != k) (a_k - a_m) in 50-digit arithmetic
+    crone = crone_place(-0.5, ApproxBand(hz(5.0), hz(2000.0), 5))
+    A = lag_chain(crone.poles, np.zeros(5)).base.A
+    t = np.pi / log_grid(0.1, 5000.0, 100)
+    E = _expm_grid(A, t)
+    worst, n = 0.0, A.shape[0]
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(v) for v in np.diag(A)]
+        b = [mpmath.mpf(v) for v in np.diag(A, -1)]
+        window = [(i, j, range(j, i + 1)) for j in range(n) for i in range(j, n)]
+        coef = {(i, j, k): mpmath.fprod(b[j:i])
+                / mpmath.fprod(a[k] - a[m] for m in ks if m != k)
+                for i, j, ks in window for k in ks}
+        for f, tf in enumerate(t):
+            ex = [mpmath.exp(mpmath.mpf(tf) * ak) for ak in a]
+            for i, j, ks in window:
+                ref = mpmath.fsum(coef[i, j, k] * ex[k] for k in ks)
+                if abs(ref) > 1e-300:
+                    worst = max(worst, float(abs((E[f, i, j] - ref) / ref)))
+    assert np.all(np.triu(E, 1) == 0)
+    assert worst <= 1e-13
+
+
+def test_time_domain_oracle_keeps_scipy_expm():
+    # the simulator is the independent check on the closed form, so it
+    # must not share the structured exponential
+    assert resetloop.sim.expm is scipy.linalg.expm

@@ -161,6 +161,25 @@ def test_malformed_values_are_rejected(name, key, value, err):
         build_controller(d)
 
 
+@pytest.mark.parametrize("name,key", [
+    ("fore", "gama"),            # misspelt: gamma would stay at its default
+    ("cglp-fore", "beta_r"),     # a first-order lag has no damping
+    ("pid", "gamma"),            # a pid has no reset element
+    ("cloc-1", "n_pairs"),       # a tune skeleton key
+])
+def test_keys_the_kind_does_not_read_are_rejected(name, key):
+    d = dict(_builtin_specs()[name], **{key: 0.5})
+    with pytest.raises(ValueError, match=f"does not take key.*'{key}'"):
+        build_controller(d)
+
+
+def test_second_order_cglp_reads_its_damping():
+    d = _builtin_specs()["cglp-sore"]
+    a = build_controller(d).reset_part.base.A
+    b = build_controller(dict(d, beta_r=0.5)).reset_part.base.A
+    assert a[1, 1] != b[1, 1]
+
+
 def test_scalar_gamma_counts_as_a_one_element_list():
     d = _builtin_specs()["cglp-pid"]
     grid = np.array([hz(50.0), hz(150.0)])
