@@ -14,17 +14,13 @@ jump enters every harmonic only through v(omega, gamma) = Delta (x -
 Lambda^-1 B), where x solves (I + diag(gamma) E) x = diag(gamma) Delta
 Lambda^-1 B.  The first harmonic is C (jwI - A)^-1 (B - j (2w^2/pi) v) + D
 and harmonic n >= 3 is -j (2w^2/pi) C (jnwI - A)^-1 v.  The kernel computes
-the frequency-only pieces once per call and solves for x in blocks of
-(omega, gamma) points: by forward substitution when A is lower triangular,
-by batched LAPACK otherwise.
-
-E is taken over the whole grid by the route A's structure allows: ``exp``
-for one state (clegg, fore); divided differences of the exponential for a
-lower-bidiagonal A (every lag chain, so every ladder and cloc design),
-exact for repeated poles too; the closed form e^{mu t} (cosh(d t) I +
-sinh(d t)/d (A - mu I)) for a 2x2 A (the sore companion form); scipy's
-``expm`` for anything else.  The simulator keeps scipy's ``expm``, so the
-time-domain oracle shares no exponential code with the closed form.
+the frequency-only pieces once per call, E in closed form (divided
+differences of the exponential for a lower-bidiagonal A: every lag chain,
+clegg, fore; cosh and sinh for the 2x2 sore; scipy's ``expm`` otherwise),
+and solves for x in blocks of (omega, gamma) points: by forward
+substitution when A is lower triangular, by batched LAPACK otherwise.
+The simulator keeps scipy's ``expm`` for every A, so the time-domain
+oracle shares no exponential code with the closed form.
 Everything is a pure function of immutable inputs.
 """
 
@@ -207,13 +203,11 @@ def _guard(cond, omega, what):
 
 def _expm_grid(A, t):
     """e^{t_k A} stacked over the positive steps t (F,): an (F, n, n)
-    array, by the route A's structure allows (see the module docstring)."""
-    n = A.shape[0]
-    if n == 1:
-        return np.exp(t * A[0, 0])[:, None, None]
+    array, in closed form for a lower-bidiagonal or a 2x2 A, by scipy
+    otherwise."""
     if not (np.triu(A, 1).any() or np.tril(A, -2).any()):
         return _expm_bidiagonal(A, t)
-    if n == 2:
+    if A.shape[0] == 2:
         return _expm_2x2(A, t)
     return expm(t[:, None, None] * A)
 

@@ -346,6 +346,16 @@ def test_expm_grid_matches_scipy(kind, data):
     assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2)))
 
 
+def test_expm_grid_leaves_other_structures_to_scipy():
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]])
+    t = np.pi / log_grid(0.1, 5000.0, 10)
+    with mock.patch.object(resetloop.reset, "expm",
+                           wraps=scipy.linalg.expm) as scipy_expm:
+        E = _expm_grid(A, t)
+    scipy_expm.assert_called_once()
+    assert np.array_equal(E, scipy.linalg.expm(t[:, None, None] * A))
+
+
 def test_expm_grid_ladder_matches_mpmath():
     # the 5-pair s^-0.5 ladder on 5-2000 Hz over the 0.1 Hz - 5 kHz grid,
     # against the partial-fraction form E_ij = prod(A[k, k-1], k = j+1..i)
@@ -370,6 +380,20 @@ def test_expm_grid_ladder_matches_mpmath():
                     worst = max(worst, float(abs((E[f, i, j] - ref) / ref)))
     assert np.all(np.triu(E, 1) == 0)
     assert worst <= 1e-13
+
+
+def test_expm_grid_sore_matches_mpmath():
+    # the stock sore (20 Hz, damping 1: a double pole, d = 0) over the
+    # 0.1 Hz - 5 kHz grid, where t omega_r reaches 628; against 50-digit
+    # mpmath scipy's expm is off by up to 1e-10 here, the closed form 1.9e-12
+    A = sore(hz(20.0), 1.0).base.A
+    t = np.pi / log_grid(0.1, 5000.0, 10)
+    E = _expm_grid(A, t)
+    with mpmath.workdps(50):
+        for tk, Ek in zip(t, E):
+            ref = np.array(mpmath.expm(mpmath.matrix(A.tolist()) * mpmath.mpf(tk))
+                           .tolist(), dtype=float)
+            assert np.abs(Ek - ref).max() <= 5e-12 * np.abs(ref).max()
 
 
 def test_time_domain_oracle_keeps_scipy_expm():
