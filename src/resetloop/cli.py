@@ -84,10 +84,11 @@ from .synthesis import (
 )
 
 
-def _builtin_specs():
+def _builtin_specs(matched_gamma=None):
     """The builtin spec dicts, every number taken from the stock design
-    constants in synthesis."""
-    gs = matched_sore_gamma()
+    constants in synthesis.  A given `matched_gamma` stands in for the
+    root-find of `matched_sore_gamma`."""
+    gs = matched_sore_gamma() if matched_gamma is None else matched_gamma
     common = dict(omega_c_hz=CROSSOVER_HZ, omega_i_hz=INTEGRATOR_HZ,
                   omega_f_hz=LOWPASS_HZ, kp=1.0)
     fore_hz, sore_hz = CGLP_FORE_HZ, CGLP_SORE_HZ
@@ -122,9 +123,10 @@ def _builtin_specs():
 
 
 def _load_spec(name_or_path) -> dict:
-    builtins = _builtin_specs()
-    if name_or_path in builtins:
-        return dict(builtins[name_or_path])
+    # the names do not depend on the matched gamma, so a spec file never
+    # pays for its root-find
+    if name_or_path in _builtin_specs(matched_gamma=0.0):
+        return dict(_builtin_specs()[name_or_path])
     return parse_spec(name_or_path)
 
 

@@ -344,9 +344,12 @@ def load_frf(path) -> FrequencyResponse:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 columns")
             try:
-                rows.append(tuple(float(p) for p in parts))
+                row = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in row {line!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     f = np.array([r[0] for r in rows])

@@ -13,6 +13,7 @@ of the reset instant to the grid and the sensor model itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,6 +402,14 @@ def simulate_linear_closed_loop(plant: StateSpace, controller: ControllerSpec,
     return _finish(traj, y, e, u, 0)
 
 
+def _whole(value, name):
+    """`value` as an int; a float or any other non-integer is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def steady_state_harmonics(rs: ResetSystem, omega, n_max,
                            samples_per_period=1000, n_periods=24,
                            discard_periods=None, dt=None):
@@ -408,24 +417,36 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
     sin(omega t).
 
     The sinusoid is carried as two extra oscillator states so each step is
-    an exact matrix-exponential flow; resets land exactly on the input's
-    zero crossings (every half period).  After discarding the transient
-    half of the run, the output is projected onto e^{j n omega t} over an
-    integer number of periods; output samples at the jump instants use the
+    an exact matrix-exponential flow Phi; resets land exactly on the
+    input's zero crossings (every half period).  The run advances one half
+    period at a time: the rows c Phi^k (k = 1..m, c the output row, m the
+    samples per half period) give the whole block of output samples from
+    its start state in one product, Phi^m gives the state at the jump, and
+    the reset is applied there.  After discarding the transient half of
+    the run, the output is projected onto e^{j n omega t} over an integer
+    number of periods; output samples at the jump instants use the
     mid-jump value, which keeps the quadrature second order.
 
     Returns a list of complex gains for n = 1..n_max (even entries are
     quadrature noise, bounded far below the first harmonic).
     """
     omega = float(omega)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if dt is not None:
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         samples_per_period = 2 * max(1, int(round(np.pi / (omega * dt))))
+    samples_per_period = _whole(samples_per_period, "samples_per_period")
+    n_periods = _whole(n_periods, "n_periods")
     if samples_per_period < 200:
         raise ValueError("need at least 200 samples per period")
+    if samples_per_period % 2:
+        raise ValueError("samples_per_period must be even (resets fall on "
+                         f"half periods), got {samples_per_period}")
     if discard_periods is None:
         discard_periods = n_periods // 2
+    discard_periods = _whole(discard_periods, "discard_periods")
     if not (0 < discard_periods < n_periods):
         raise ValueError("discard_periods must lie in (0, n_periods)")
     m = samples_per_period // 2
@@ -440,24 +461,32 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
     Phi = expm(M * step)
     gam = rs.reset_matrix().diagonal().copy()
 
+    c = np.concatenate([C[0], [D, 0.0]])
     nsteps = 2 * m * n_periods
     z = np.zeros(n + 2)
     z[n + 1] = 1.0
     ys = np.empty(nsteps + 1)
-    ys[0] = float(C[0] @ z[:n]) + D * z[n]
+    ys[0] = c @ z
     settle_limit = 1e9 * (np.max(np.abs(B)) + 1.0)
-    for k in range(1, nsteps + 1):
-        z = Phi @ z
-        if k % m == 0:
-            y_pre = float(C[0] @ z[:n]) + D * z[n]
+    rows = np.empty((m, n + 2))    # rows[k - 1] = c Phi^k
+    Phi_m = np.eye(n + 2)
+    # a blown-up run overflows in these products; the limit check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(m):
+            Phi_m = Phi_m @ Phi
+            rows[k] = c @ Phi_m
+        for j in range(2 * n_periods):
+            block = ys[j * m + 1:(j + 1) * m + 1]
+            block[:] = rows @ z
+            z = Phi_m @ z
             z[:n] *= gam
-            ys[k] = 0.5 * (y_pre + float(C[0] @ z[:n]) + D * z[n])
-        else:
-            ys[k] = float(C[0] @ z[:n]) + D * z[n]
-        if not np.isfinite(ys[k]) or abs(ys[k]) > settle_limit:
-            raise SimulationDiverged(
-                f"open-loop response is not settling at omega = {omega:g}",
-                time=k * step)
+            block[-1] = 0.5 * (block[-1] + c @ z)
+            settled = np.abs(block) <= settle_limit
+            if not settled.all():
+                k = j * m + 1 + int(np.argmin(settled))
+                raise SimulationDiverged(
+                    f"open-loop response is not settling at omega = {omega:g}",
+                    time=k * step)
 
     start = 2 * m * discard_periods
     yv = ys[start:-1]
@@ -465,8 +494,8 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
     span = (nsteps - start) * step
     gains = []
     for nh in range(1, n_max + 1):
-        c = 1j * (2.0 / span) * np.sum(yv * np.exp(-1j * nh * omega * tv)) * step
-        gains.append(complex(c))
+        g = 1j * (2.0 / span) * np.sum(yv * np.exp(-1j * nh * omega * tv)) * step
+        gains.append(complex(g))
     return gains
 
 

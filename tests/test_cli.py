@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import pathlib
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import resetloop.cli
 from resetloop.cli import _builtin_specs, main
 from resetloop.specfile import emit_spec
 
@@ -196,6 +201,76 @@ def test_readme_scenario_runs_verbatim(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", str(scen), "--out", str(out)]) == 0
     assert "status: ok" in (out / "pid_ref2_metrics.txt").read_text()
+
+
+@st.composite
+def _broken_frf(draw):
+    """FRF file bytes that load_frf must reject: a valid table with one
+    cell, row or the header broken, or arbitrary bytes."""
+    freqs = sorted(set(draw(st.lists(st.floats(0.5, 2000.0), min_size=1,
+                                     max_size=5))))
+    rows = [[repr(f), "1.0", "-0.5"] for f in freqs]
+    header = "freq_hz,real,imag"
+    i = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, 2))
+    fault = draw(st.sampled_from(["non-finite", "non-numeric", "columns",
+                                  "order", "non-positive", "header",
+                                  "no rows", "bytes"]))
+    if fault == "bytes":
+        return draw(st.binary(max_size=64))
+    if fault == "non-finite":
+        rows[i][col] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN",
+                                             "Infinity", "+inf"]))
+    elif fault == "non-numeric":
+        rows[i][col] = draw(st.sampled_from(["", "one", "1e", "0x10", "1..0",
+                                             "j"]))
+    elif fault == "columns":
+        rows[i] = rows[i][:col + 1] if col < 2 else rows[i] + ["0.0"]
+    elif fault == "order":
+        rows.insert(i, list(rows[i]))
+    elif fault == "non-positive":
+        rows[0][0] = draw(st.sampled_from(["0", "-0.0", "-1.5"]))
+    elif fault == "header":
+        header = draw(st.sampled_from(["", "freq,real,imag", "freq_hz,imag,real",
+                                       "freq_hz;real;imag", "FREQ_HZ,REAL,IMAG",
+                                       "freq_hz,real,imag,extra"]))
+    else:
+        rows = []
+    text = "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    return text.encode("utf-8")
+
+
+@given(_broken_frf())
+def test_reproduce_rejects_fuzzed_frf_files(tmp_path_factory, data):
+    # load_frf runs before any stage, so every example is cheap
+    tmp = tmp_path_factory.mktemp("frf")
+    frf_path = tmp / "plant.csv"
+    frf_path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["reproduce", "--out", str(tmp / "rep"),
+                   "--plant", str(frf_path)])
+    assert rc == 2, data
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
+def test_spec_file_skips_the_matched_gamma_root_find(tmp_path, monkeypatch):
+    spec = tmp_path / "cloc.spec"
+    emit_spec(_builtin_specs()["cloc-1"], spec)
+
+    def root_find(*args, **kwargs):
+        raise AssertionError("matched_sore_gamma ran for a spec file")
+
+    monkeypatch.setattr(resetloop.cli, "matched_sore_gamma", root_find)
+    assert main(["df", str(spec), "--fmin-hz", "10", "--fmax-hz", "1000",
+                 "--points-per-decade", "5", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cglp-sore").write_text("not a spec\n")
+    assert main(["df", "cglp-sore", "--fmin-hz", "10", "--fmax-hz", "1000",
+                 "--points-per-decade", "5", "--out", str(tmp_path / "o")]) == 0
 
 
 def test_reproduce_frf_not_covering_crossover_is_input_error(tmp_path):

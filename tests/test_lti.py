@@ -177,6 +177,18 @@ def test_load_frf_rejects_malformed(tmp_path, body, err):
         load_frf(path)
 
 
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_frf_rejects_non_finite_values(tmp_path, column, token):
+    row = ["1.0", "1.0", "0.0"]
+    row[column] = token
+    path = tmp_path / "bad.csv"
+    path.write_text("freq_hz,real,imag\n0.5,1.0,0.0\n" + ",".join(row)
+                    + "\n2.0,1.0,0.0\n")
+    with pytest.raises(ValueError, match="bad.csv:3: non-finite value"):
+        load_frf(path)
+
+
 def test_log_grid_density_and_floor():
     g = log_grid(1.0, 100.0)
     assert len(g) == 101  # 50 per decade over two decades, inclusive
