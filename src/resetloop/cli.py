@@ -52,6 +52,8 @@ from .sim import (
     simulate_closed_loop,
 )
 from .specfile import (
+    SUITE,
+    _builtin_specs,
     build_controller,
     emit_spec,
     finite_number,
@@ -60,66 +62,15 @@ from .specfile import (
 )
 from .synthesis import (
     ApproxBand,
-    CGLP_FORE_HZ,
-    CGLP_PID_LEAD_RATIO,
-    CGLP_SORE_DAMPING,
-    CGLP_SORE_HZ,
-    CLOC_LADDERS_HZ,
-    CROSSOVER_HZ,
     CroneApprox,
-    DEFAULT_TAMING_FACTOR,
-    GFORE_GAMMA,
-    INTEGRATOR_HZ,
-    LOWPASS_HZ,
-    PID_LEAD_RATIO,
-    build_cloc,
     controller_harmonic,
     crone_place,
     fit_band,
-    matched_sore_gamma,
     normalize_open_loop_gain,
     pi_stage,
     slope_estimate,
     tune_arho,
 )
-
-
-def _builtin_specs(matched_gamma=None):
-    """The builtin spec dicts, every number taken from the stock design
-    constants in synthesis.  A given `matched_gamma` stands in for the
-    root-find of `matched_sore_gamma`."""
-    gs = matched_sore_gamma() if matched_gamma is None else matched_gamma
-    common = dict(omega_c_hz=CROSSOVER_HZ, omega_i_hz=INTEGRATOR_HZ,
-                  omega_f_hz=LOWPASS_HZ, kp=1.0)
-    fore_hz, sore_hz = CGLP_FORE_HZ, CGLP_SORE_HZ
-    return {
-        "clegg": dict(kind="clegg", label="clegg"),
-        "fore": dict(kind="fore", label="fore", omega_r_hz=fore_hz[0],
-                     gamma=(GFORE_GAMMA,)),
-        "sore": dict(kind="sore", label="sore", omega_r_hz=sore_hz[0],
-                     beta_r=CGLP_SORE_DAMPING, gamma=(0.0,)),
-        "cglp-fore": dict(kind="cglp", label="cglp-fore", filter_order=1.0,
-                          omega_r_hz=fore_hz[0], omega_r_alpha_hz=fore_hz[1],
-                          omega_f_hz=LOWPASS_HZ, gamma=(GFORE_GAMMA,), kp=1.0),
-        "cglp-sore": dict(kind="cglp", label="cglp-sore", filter_order=2.0,
-                          omega_r_hz=sore_hz[0], omega_r_alpha_hz=sore_hz[1],
-                          beta_r=CGLP_SORE_DAMPING, omega_f_hz=LOWPASS_HZ,
-                          gamma=(gs,), kp=1.0),
-        "pid": dict(kind="pid", label="pid", a=PID_LEAD_RATIO, **common),
-        "cglp-pid": dict(kind="cglp-pid", label="cglp-pid",
-                         a=CGLP_PID_LEAD_RATIO, omega_r_hz=fore_hz[0],
-                         omega_r_alpha_hz=fore_hz[1], gamma=(GFORE_GAMMA,),
-                         **common),
-        "cglp-pi": dict(kind="cglp-pi", label="cglp-pi", omega_r_hz=sore_hz[0],
-                        omega_r_alpha_hz=sore_hz[1], beta_r=CGLP_SORE_DAMPING,
-                        gamma=(gs,), **common),
-        **{f"cloc-{v}": dict(kind="cloc", label=f"cloc-{v}",
-                             poles_hz=ladder["poles"], zeros_hz=ladder["zeros"],
-                             gamma=ladder["gamma"], omega_l_hz=ladder["band"][0],
-                             omega_h_hz=ladder["band"][1],
-                             taming_factor=DEFAULT_TAMING_FACTOR, **common)
-           for v, ladder in CLOC_LADDERS_HZ.items()},
-    }
 
 
 def _load_spec(name_or_path) -> dict:
@@ -351,7 +302,6 @@ def cmd_reproduce(args):
     plant_tf = stage_plant()
     plant_resp = load_frf(args.plant) if args.plant else None
     builtins = _builtin_specs()
-    suite_names = ("pid", "cglp-pid", "cglp-pi", "cloc-1", "cloc-2")
 
     try:
         # resetting-integrator harmonics, orders 1..11
@@ -378,8 +328,8 @@ def cmd_reproduce(args):
         os.makedirs(d3, exist_ok=True)
         slopes_path = os.path.join(d3, "slopes.txt")
         with open(slopes_path, "w", encoding="utf-8") as fh:
-            for variant in (1, 2):
-                spec = build_cloc(variant)
+            for name in ("cloc-1", "cloc-2"):
+                spec = build_controller(builtins[name])
                 grid = log_grid(1.0, 5000.0, 50)
                 vals = controller_harmonic(spec, grid, 1)
                 # strip PI and low-pass to leave the bare filter
@@ -387,14 +337,14 @@ def cmd_reproduce(args):
                 lpf_vals = (pi(1j * grid)
                             * first_order_lag(spec.params["omega_f"])(1j * grid))
                 filt_vals = vals / lpf_vals
-                p1 = os.path.join(d3, f"cloc{variant}_filter_reset.csv")
+                p1 = os.path.join(d3, f"{name.replace('-', '')}_filter_reset.csv")
                 _write_response_csv(p1, grid, filt_vals)
                 man.add(p1)
                 crone = CroneApprox(tuple(spec.params["zeros"]),
                                     tuple(spec.params["poles"]), 1.0)
                 fit = slope_estimate(HarmonicResponse(grid, 1, filt_vals),
                                      fit_band(crone))
-                fh.write(f"cloc-{variant}: gain {fit.gain_slope:.3f} dB/dec, "
+                fh.write(f"{name}: gain {fit.gain_slope:.3f} dB/dec, "
                          f"phase {fit.phase_slope:.3f} deg/dec over trimmed "
                          f"band\n")
         man.add(slopes_path)
@@ -402,7 +352,7 @@ def cmd_reproduce(args):
         # controller spec round trip
         d4 = os.path.join(out, "04_controller_specs")
         os.makedirs(d4, exist_ok=True)
-        for name in suite_names:
+        for name in SUITE:
             path = os.path.join(d4, f"{name}.spec")
             emit_spec(builtins[name], path)
             reparsed = parse_spec(path)
@@ -419,7 +369,7 @@ def cmd_reproduce(args):
         pm_path = os.path.join(d5, "crossover_pm.txt")
         views = {}
         with open(pm_path, "w", encoding="utf-8") as fh:
-            for name in suite_names:
+            for name in SUITE:
                 spec = build_controller(builtins[name])
                 spec = spec.with_kp(normalize_open_loop_gain(
                     spec, plant_for_loop, spec.params["omega_c"]))
@@ -436,7 +386,7 @@ def cmd_reproduce(args):
         # normalized third harmonic
         d7 = os.path.join(out, "07_normalized_third")
         os.makedirs(d7, exist_ok=True)
-        for name in suite_names:
+        for name in SUITE:
             if name == "pid":
                 continue
             path = os.path.join(d7, f"{name}.csv")
@@ -446,7 +396,7 @@ def cmd_reproduce(args):
         # step responses (hybrid simulation; instability is a result)
         d6 = os.path.join(out, "06_step_responses")
         os.makedirs(d6, exist_ok=True)
-        for name in suite_names:
+        for name in SUITE:
             _run_scenario({"controller": name, "reference": "step3um",
                            "seed": args.seed}, plant_tf, d6, man)
 
@@ -458,7 +408,7 @@ def cmd_reproduce(args):
             fh.write("Simulated closed-loop metrics on the bundled plant "
                      "model -- simulation, not hardware.\n")
         man.add(note)
-        for name in suite_names:
+        for name in SUITE:
             for ref in ("ref1", "ref2", "ref3"):
                 _run_scenario({"controller": name, "reference": ref,
                                "seed": args.seed}, plant_tf, d8, man)

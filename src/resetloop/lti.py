@@ -54,8 +54,10 @@ def log_grid(fmin_hz, fmax_hz, points_per_decade=POINTS_PER_DECADE):
 
     Returns rad/s values, strictly increasing, floored at OMEGA_FLOOR.
     """
-    if not (0 < fmin_hz < fmax_hz):
-        raise ValueError(f"need 0 < fmin_hz < fmax_hz, got ({fmin_hz}, {fmax_hz})")
+    if not (0 < fmin_hz < fmax_hz < np.inf):
+        raise ValueError(f"need 0 < fmin_hz < fmax_hz < inf, got {fmin_hz}, {fmax_hz}")
+    if not points_per_decade >= 1:
+        raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
     lo, hi = np.log10(hz(fmin_hz)), np.log10(hz(fmax_hz))
     n = max(2, int(round((hi - lo) * points_per_decade)) + 1)
     grid = np.logspace(lo, hi, n)

@@ -492,10 +492,11 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
     yv = ys[start:-1]
     tv = np.arange(start, nsteps) * step
     span = (nsteps - start) * step
-    gains = []
-    for nh in range(1, n_max + 1):
-        g = 1j * (2.0 / span) * np.sum(yv * np.exp(-1j * nh * omega * tv)) * step
-        gains.append(complex(g))
+    rot = np.exp(-1j * omega * tv)   # order n weighs the samples by rot**n
+    weighted, gains = yv, []
+    for _ in range(n_max):
+        weighted = weighted * rot
+        gains.append(complex(1j * (2.0 / span) * np.sum(weighted) * step))
     return gains
 
 

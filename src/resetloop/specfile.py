@@ -9,23 +9,39 @@ repr so parse(emit(parse(x))) == parse(x) bit for bit.
 ControllerSpec, for every kind: the bare reset elements (clegg, fore,
 sore), the constant-gain lead stage (cglp), and the loop controllers (pid,
 cglp-pid, cglp-pi, cloc).
+
+The stock designs are defined here once: ``_builtin_specs`` is the table of
+the ten builtin specs and ``SUITE`` names the five the paper compares.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from scipy.optimize import brentq
 
 from .lti import hz
 from .reset import clegg, fore, sore
 from .synthesis import (
+    CGLP_FORE_HZ,
+    CGLP_PID_LEAD_RATIO,
     CGLP_SORE_DAMPING,
+    CGLP_SORE_HZ,
+    CLOC_LADDERS_HZ,
+    CROSSOVER_HZ,
     ControllerSpec,
     DEFAULT_TAMING_FACTOR,
+    GFORE_GAMMA,
+    INTEGRATOR_HZ,
+    LOWPASS_HZ,
+    PID_LEAD_RATIO,
     build_cglp,
     build_cglp_pi,
     build_cglp_pid,
     build_cloc_from,
     build_pid,
+    controller_harmonic,
 )
 
 
@@ -193,3 +209,66 @@ def build_controller(d: dict) -> ControllerSpec:
     if not isinstance(spec.label, str):
         raise ValueError(f"label must be text, got {spec.label!r}")
     return spec.with_kp(kp)
+
+
+# --- the stock designs ------------------------------------------------------
+
+#: the five designs the paper compares, in progression order
+SUITE = ("pid", "cglp-pid", "cglp-pi", "cloc-1", "cloc-2")
+
+
+def _builtin_specs(matched_gamma=None):
+    """The builtin spec dicts, every number taken from the stock design
+    constants in synthesis.  A given `matched_gamma` stands in for the
+    root-find of `matched_sore_gamma`."""
+    gs = matched_sore_gamma() if matched_gamma is None else matched_gamma
+    common = dict(omega_c_hz=CROSSOVER_HZ, omega_i_hz=INTEGRATOR_HZ,
+                  omega_f_hz=LOWPASS_HZ, kp=1.0)
+    fore_hz, sore_hz = CGLP_FORE_HZ, CGLP_SORE_HZ
+    return {
+        "clegg": dict(kind="clegg", label="clegg"),
+        "fore": dict(kind="fore", label="fore", omega_r_hz=fore_hz[0],
+                     gamma=(GFORE_GAMMA,)),
+        "sore": dict(kind="sore", label="sore", omega_r_hz=sore_hz[0],
+                     beta_r=CGLP_SORE_DAMPING, gamma=(0.0,)),
+        "cglp-fore": dict(kind="cglp", label="cglp-fore", filter_order=1.0,
+                          omega_r_hz=fore_hz[0], omega_r_alpha_hz=fore_hz[1],
+                          omega_f_hz=LOWPASS_HZ, gamma=(GFORE_GAMMA,), kp=1.0),
+        "cglp-sore": dict(kind="cglp", label="cglp-sore", filter_order=2.0,
+                          omega_r_hz=sore_hz[0], omega_r_alpha_hz=sore_hz[1],
+                          beta_r=CGLP_SORE_DAMPING, omega_f_hz=LOWPASS_HZ,
+                          gamma=(gs,), kp=1.0),
+        "pid": dict(kind="pid", label="pid", a=PID_LEAD_RATIO, **common),
+        "cglp-pid": dict(kind="cglp-pid", label="cglp-pid",
+                         a=CGLP_PID_LEAD_RATIO, omega_r_hz=fore_hz[0],
+                         omega_r_alpha_hz=fore_hz[1], gamma=(GFORE_GAMMA,),
+                         **common),
+        "cglp-pi": dict(kind="cglp-pi", label="cglp-pi", omega_r_hz=sore_hz[0],
+                        omega_r_alpha_hz=sore_hz[1], beta_r=CGLP_SORE_DAMPING,
+                        gamma=(gs,), **common),
+        **{f"cloc-{v}": dict(kind="cloc", label=f"cloc-{v}",
+                             poles_hz=ladder["poles"], zeros_hz=ladder["zeros"],
+                             gamma=ladder["gamma"], omega_l_hz=ladder["band"][0],
+                             omega_h_hz=ladder["band"][1],
+                             taming_factor=DEFAULT_TAMING_FACTOR, **common)
+           for v, ladder in CLOC_LADDERS_HZ.items()},
+    }
+
+
+@lru_cache(maxsize=1)
+def matched_sore_gamma() -> float:
+    """Reset factor of the builtin cglp-pi, chosen so its controller phase
+    at crossover equals the builtin pid's.
+
+    The five stock designs deliver the same phase at omega_c by different
+    means; for this one the reset depth is the free knob, solved here by
+    bisection (the phase is monotone in gamma over [-1, 1])."""
+    def phase_deg(d):   # controller phase at the design's crossover
+        c = build_controller(d)
+        return np.degrees(np.angle(controller_harmonic(c, [c.params["omega_c"]])[0]))
+
+    table = _builtin_specs(matched_gamma=0.0)
+    reference = phase_deg(table["pid"])
+    return float(brentq(
+        lambda g: phase_deg(dict(table["cglp-pi"], gamma=(float(g),))) - reference,
+        -0.999, 0.999, xtol=1e-10))

@@ -3,7 +3,8 @@
 Interlaced real pole/zero ladders approximating non-integer-order
 derivatives, the reset split that turns such a ladder into a complex-order
 filter, reset-map tuning by exhaustive grid search, and factories for the
-five stock controller designs (pid, cglp-pid, cglp-pi, cloc-1, cloc-2).
+loop controllers.  The five stock designs (pid, cglp-pid, cglp-pi, cloc-1,
+cloc-2) are defined once, by specfile's builtin table over the constants here.
 
 All frequencies in this module are rad/s; the stock design constants are
 written in Hz and converted where they are used.
@@ -13,16 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lti import (
     FrequencyResponse,
     TransferFunction,
     first_order_lag,
-    hz,
     lead_lag,
     plant_values,
     series_all,
@@ -454,17 +452,11 @@ CLOC_LADDERS_HZ = {
 }
 
 
-def build_cglp_pid(omega_c=None, a=CGLP_PID_LEAD_RATIO, omega_i=None,
-                   omega_f=None, omega_r=None, omega_r_alpha=None,
-                   gamma=GFORE_GAMMA) -> ControllerSpec:
+def build_cglp_pid(omega_c, a, omega_i, omega_f, omega_r, omega_r_alpha,
+                   gamma) -> ControllerSpec:
     """First-order-reset constant-gain-lead design plus a linear lead: the
     reset stage cannot deliver all the phase on its own, so a lead filter
     tops it up."""
-    omega_c = hz(CROSSOVER_HZ) if omega_c is None else omega_c
-    omega_i = hz(INTEGRATOR_HZ) if omega_i is None else omega_i
-    omega_f = hz(LOWPASS_HZ) if omega_f is None else omega_f
-    omega_r = hz(CGLP_FORE_HZ[0]) if omega_r is None else omega_r
-    omega_r_alpha = hz(CGLP_FORE_HZ[1]) if omega_r_alpha is None else omega_r_alpha
     if a < 1.0:
         raise ValueError("lead ratio a must be >= 1")
     stage = build_cglp(1, omega_r, omega_r_alpha, 1.0, omega_f, gamma)
@@ -478,49 +470,11 @@ def build_cglp_pid(omega_c=None, a=CGLP_PID_LEAD_RATIO, omega_i=None,
     return ControllerSpec("cglp-pid", "cglp-pid", parts, stage.reset_part, 1.0, params)
 
 
-@lru_cache(maxsize=8)
-def matched_sore_gamma(omega_c=None, reference_phase_deg=None,
-                       omega_i=None, omega_f=None, omega_r=None,
-                       omega_r_alpha=None, beta_r=CGLP_SORE_DAMPING) -> float:
-    """Reset factor for the second-order constant-gain-lead design, chosen
-    so its controller phase at crossover equals the pid benchmark's.
-
-    The five stock designs deliver the same phase at omega_c by different
-    means; for this one the reset depth is the free knob, solved here by
-    bisection (the phase is monotone in gamma over [-1, 1])."""
-    omega_c = hz(CROSSOVER_HZ) if omega_c is None else omega_c
-    if reference_phase_deg is None:
-        bench = build_pid(hz(CROSSOVER_HZ), PID_LEAD_RATIO, hz(INTEGRATOR_HZ),
-                          hz(LOWPASS_HZ))
-        reference_phase_deg = np.degrees(
-            np.angle(controller_harmonic(bench, [omega_c])[0]))
-
-    def mismatch(g):
-        spec = build_cglp_pi(omega_c=omega_c, omega_i=omega_i, omega_f=omega_f,
-                             omega_r=omega_r, omega_r_alpha=omega_r_alpha,
-                             beta_r=beta_r, gamma=float(g))
-        ph = np.degrees(np.angle(controller_harmonic(spec, [omega_c])[0]))
-        return ph - reference_phase_deg
-
-    return float(brentq(mismatch, -0.999, 0.999, xtol=1e-10))
-
-
-def build_cglp_pi(omega_c=None, omega_i=None, omega_f=None, omega_r=None,
-                  omega_r_alpha=None, beta_r=CGLP_SORE_DAMPING,
-                  gamma=None) -> ControllerSpec:
+def build_cglp_pi(omega_c, omega_i, omega_f, omega_r, omega_r_alpha, beta_r,
+                  gamma) -> ControllerSpec:
     """Second-order-reset constant-gain-lead design with no linear lead
     (the reset stage supplies all the phase, so the lead ratio collapses
-    to a = 1).  With gamma = None the reset depth is solved to match the
-    pid benchmark's phase at crossover."""
-    omega_c = hz(CROSSOVER_HZ) if omega_c is None else omega_c
-    omega_i = hz(INTEGRATOR_HZ) if omega_i is None else omega_i
-    omega_f = hz(LOWPASS_HZ) if omega_f is None else omega_f
-    omega_r = hz(CGLP_SORE_HZ[0]) if omega_r is None else omega_r
-    omega_r_alpha = hz(CGLP_SORE_HZ[1]) if omega_r_alpha is None else omega_r_alpha
-    if gamma is None:
-        gamma = matched_sore_gamma(omega_c, omega_i=omega_i, omega_f=omega_f,
-                                   omega_r=omega_r, omega_r_alpha=omega_r_alpha,
-                                   beta_r=beta_r)
+    to a = 1)."""
     stage = build_cglp(2, omega_r, omega_r_alpha, beta_r, omega_f, gamma)
     parts = (pi_stage(omega_i), stage.lead)
     params = dict(omega_c=omega_c, omega_i=omega_i, a=1.0, omega_f=omega_f,
@@ -531,8 +485,7 @@ def build_cglp_pi(omega_c=None, omega_i=None, omega_f=None, omega_r=None,
 
 def build_cloc_from(poles, zeros, gamma, omega_i, omega_f, omega_c,
                     omega_l=None, omega_h=None,
-                    taming_factor=DEFAULT_TAMING_FACTOR,
-                    label="cloc") -> ControllerSpec:
+                    taming_factor=DEFAULT_TAMING_FACTOR) -> ControllerSpec:
     """Complex-order controller from explicit ladder frequencies: the
     resetting ladder in series with the PI stage and the noise low-pass,
     no linear lead.  The ladder gain is normalized so the no-reset limit
@@ -559,21 +512,7 @@ def build_cloc_from(poles, zeros, gamma, omega_i, omega_f, omega_c,
         params["omega_l"] = float(omega_l)
     if omega_h is not None:
         params["omega_h"] = float(omega_h)
-    return ControllerSpec("cloc", label, parts, filt.c_r, 1.0, params)
-
-
-def build_cloc(variant: int, taming_factor=DEFAULT_TAMING_FACTOR) -> ControllerSpec:
-    """Stock complex-order controller 1 or 2, with its published ladder
-    and reset map."""
-    if variant not in CLOC_LADDERS_HZ:
-        raise ValueError(f"unknown variant {variant!r}; choose 1 or 2")
-    d = CLOC_LADDERS_HZ[variant]
-    return build_cloc_from(
-        poles=hz(np.array(d["poles"])), zeros=hz(np.array(d["zeros"])),
-        gamma=d["gamma"], omega_i=hz(INTEGRATOR_HZ), omega_f=hz(LOWPASS_HZ),
-        omega_c=hz(CROSSOVER_HZ), omega_l=hz(d["band"][0]),
-        omega_h=hz(d["band"][1]), taming_factor=taming_factor,
-        label=f"cloc-{variant}")
+    return ControllerSpec("cloc", "cloc", parts, filt.c_r, 1.0, params)
 
 
 def normalize_open_loop_gain(spec: ControllerSpec, plant, omega_c) -> float:
@@ -588,19 +527,15 @@ def normalize_open_loop_gain(spec: ControllerSpec, plant, omega_c) -> float:
     return 1.0 / mag
 
 
-def build_benchmark_suite(plant=None, omega_c=None):
-    """The five stock designs, in progression order.  With a plant given,
-    each kp is normalized for crossover at omega_c (default 150 Hz)."""
-    omega_c = hz(CROSSOVER_HZ) if omega_c is None else float(omega_c)
-    wi, wf = hz(INTEGRATOR_HZ), hz(LOWPASS_HZ)
-    specs = {
-        "pid": build_pid(omega_c, PID_LEAD_RATIO, wi, wf),
-        "cglp-pid": build_cglp_pid(omega_c=omega_c, omega_i=wi, omega_f=wf),
-        "cglp-pi": build_cglp_pi(omega_c=omega_c, omega_i=wi, omega_f=wf),
-        "cloc-1": build_cloc(1),
-        "cloc-2": build_cloc(2),
-    }
+def build_benchmark_suite(plant=None):
+    """The five stock designs, in progression order, built from the
+    builtin spec table.  With a plant given, each kp is normalized for
+    crossover at the design's omega_c."""
+    # specfile builds on this module, so it can only be imported at call time
+    from .specfile import SUITE, _builtin_specs, build_controller
+    table = _builtin_specs()
+    specs = {name: build_controller(table[name]) for name in SUITE}
     if plant is not None:
-        specs = {k: v.with_kp(normalize_open_loop_gain(v, plant, omega_c))
+        specs = {k: v.with_kp(normalize_open_loop_gain(v, plant, v.params["omega_c"]))
                  for k, v in specs.items()}
     return specs

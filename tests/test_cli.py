@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import resetloop.cli
-from resetloop.cli import _builtin_specs, main
-from resetloop.specfile import emit_spec
+import resetloop.specfile
+from resetloop.cli import main
+from resetloop.specfile import _builtin_specs, emit_spec
 
 BUILTIN_NAMES = ["clegg", "fore", "sore", "cglp-fore", "cglp-sore", "pid",
                  "cglp-pid", "cglp-pi", "cloc-1", "cloc-2"]
@@ -261,7 +261,7 @@ def test_spec_file_skips_the_matched_gamma_root_find(tmp_path, monkeypatch):
     def root_find(*args, **kwargs):
         raise AssertionError("matched_sore_gamma ran for a spec file")
 
-    monkeypatch.setattr(resetloop.cli, "matched_sore_gamma", root_find)
+    monkeypatch.setattr(resetloop.specfile, "matched_sore_gamma", root_find)
     assert main(["df", str(spec), "--fmin-hz", "10", "--fmax-hz", "1000",
                  "--points-per-decade", "5", "--out", str(tmp_path / "o")]) == 0
 
@@ -410,4 +410,20 @@ def test_df_rejects_harmonic_orders_below_one(tmp_path, order, capsys):
     assert main(["df", "clegg", "--harmonics", "1", order, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--harmonics" in err and "hosidf" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["df", "bode"])
+@pytest.mark.parametrize("option,value", [
+    ("--points-per-decade", "0"),
+    ("--points-per-decade", "-7"),
+    ("--fmax-hz", "inf"),
+    ("--fmin-hz", "nan"),
+])
+def test_bad_grid_arguments_are_input_errors(tmp_path, command, option, value,
+                                             capsys):
+    out = tmp_path / "o"
+    assert main([command, "pid", option, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option.lstrip("-").replace("-", "_") in err
     assert not out.exists()

@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from resetloop.cli import _builtin_specs
-from resetloop.lti import hz
+import resetloop.specfile
+from resetloop.cli import _load_spec
+from resetloop.lti import hz, stage_plant
 from resetloop.specfile import (
+    SUITE,
+    _builtin_specs,
     build_controller,
     emit_spec,
     finite_number,
     finite_numbers,
     parse_spec,
 )
-from resetloop.synthesis import build_benchmark_suite, controller_harmonic
+from resetloop.synthesis import (
+    build_benchmark_suite,
+    build_cglp_pi,
+    build_cglp_pid,
+    build_cloc_from,
+    build_pid,
+    controller_harmonic,
+)
 
 
 @pytest.mark.parametrize("name", ["pid", "cglp-pid", "cglp-pi", "cloc-1",
@@ -70,13 +82,30 @@ def test_build_controller_from_builtin(name):
 
 
 def test_built_controller_matches_factory():
-    # the builtin table and the stock factories share one set of constants
+    # an independent check on the builtin table: each suite design against
+    # its factory called on the published constants, written out here
     grid = np.array([hz(10.0), hz(150.0), hz(900.0)])
+    wc, wi, wf = hz(150.0), hz(15.0), hz(1500.0)
+
+    def cloc(poles, zeros, gamma, band):
+        return build_cloc_from(hz(np.array(poles)), hz(np.array(zeros)), gamma,
+                               wi, wf, wc, hz(band[0]), hz(band[1]))
+
+    factory = {
+        "pid": build_pid(wc, 9.13, wi, wf),
+        "cglp-pid": build_cglp_pid(wc, 2.193, wi, wf, hz(50.0), hz(35.7), 0.0),
+        "cglp-pi": build_cglp_pi(wc, wi, wf, hz(78.9), hz(68.6138), 1.0,
+                                 -0.0635741799787),
+        "cloc-1": cloc((16.5, 76.6, 355.5), (35.55, 165.0, 766.0),
+                       (0.21, -0.22, 0.1), (11.24, 1124.0)),
+        "cloc-2": cloc((27.0, 85.4, 270.0), (48.0, 151.8, 480.3),
+                       (0.29, -0.26, 0.3), (20.25, 640.3)),
+    }
     suite = build_benchmark_suite()
-    for name in ("pid", "cglp-pid", "cglp-pi", "cloc-1", "cloc-2"):
-        spec_file = build_controller(_builtin_specs()[name])
-        a = controller_harmonic(spec_file, grid)
-        b = controller_harmonic(suite[name], grid)
+    assert list(suite) == list(factory)
+    for name, spec in factory.items():
+        a = controller_harmonic(suite[name], grid)
+        b = controller_harmonic(spec, grid)
         assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12, name
 
 
@@ -187,3 +216,60 @@ def test_scalar_gamma_counts_as_a_one_element_list():
     b = controller_harmonic(build_controller(dict(d, gamma=(0.5,))), grid)
     c = controller_harmonic(build_controller(d), grid)
     assert np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+def _bits(d):
+    """A spec dict with every float spelled out bit for bit (nan included)."""
+    def one(v):
+        if isinstance(v, tuple):
+            return tuple(map(float.hex, v))
+        return v.hex() if isinstance(v, float) else v
+    return {k: (type(v), one(v)) for k, v in d.items()}
+
+
+_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             max_size=4).map(tuple),
+    st.booleans(),
+    st.text(st.characters(blacklist_characters="#\n\r",
+                          blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@given(d=st.dictionaries(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}",
+                                       fullmatch=True), _values, max_size=6))
+def test_parse_emit_parse_is_a_fixed_point(tmp_path_factory, d):
+    # a string value may parse back as a number, a bool or a list (or not
+    # at all); from the first parse on, the dict must stay put bit for bit
+    path = tmp_path_factory.mktemp("round_trip") / "x.spec"
+    emit_spec(d, path)
+    try:
+        first = parse_spec(path)
+    except ValueError:
+        return   # e.g. a string "[x]" that is not a float list
+    emit_spec(first, path)
+    assert _bits(parse_spec(path)) == _bits(first)
+
+
+@pytest.mark.parametrize("name", sorted(_builtin_specs(matched_gamma=0.0)))
+def test_every_builtin_survives_emit_and_parse(tmp_path, name):
+    d = _builtin_specs()[name]
+    emit_spec(d, tmp_path / "b.spec")
+    assert parse_spec(tmp_path / "b.spec") == d
+
+
+def test_suite_and_a_builtin_load_share_one_root_find(monkeypatch):
+    calls = []
+
+    def counting_brentq(*args, **kwargs):
+        calls.append(args)
+        return brentq(*args, **kwargs)
+
+    brentq = resetloop.specfile.brentq
+    monkeypatch.setattr(resetloop.specfile, "brentq", counting_brentq)
+    resetloop.specfile.matched_sore_gamma.cache_clear()
+    suite = build_benchmark_suite(stage_plant())
+    assert list(suite) == list(SUITE)
+    assert _load_spec("cglp-pi")["gamma"] == suite["cglp-pi"].params["gamma"][:1]
+    assert len(calls) == 1

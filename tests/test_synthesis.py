@@ -18,13 +18,11 @@ from resetloop.synthesis import (
     PHASE_SLOPE_PER_BETA,
     build_cglp,
     build_cglp_pid,
-    build_cloc,
     build_cloc_from,
     build_pid,
     controller_harmonic,
     crone_place,
     fit_band,
-    matched_sore_gamma,
     normalize_open_loop_gain,
     order_to_slopes,
     slope_estimate,
@@ -32,6 +30,7 @@ from resetloop.synthesis import (
     tune_arho,
     _refine_axis,
 )
+from resetloop.specfile import matched_sore_gamma
 
 TABLE_SIGFIG_RTOL = 5e-4   # agreement at the third significant digit
 
@@ -330,10 +329,12 @@ def test_build_cglp_cancellation_limit():
 
 
 def test_build_cglp_pid_rejects_lead_ratio_below_one():
+    args = dict(omega_c=hz(150.0), omega_i=hz(15.0), omega_f=hz(1500.0),
+                omega_r=hz(50.0), omega_r_alpha=hz(35.7), gamma=0.0)
     with pytest.raises(ValueError, match="lead ratio"):
-        build_cglp_pid(a=0.0)
+        build_cglp_pid(a=0.0, **args)
     with pytest.raises(ValueError, match="lead ratio"):
-        build_cglp_pid(a=0.5)
+        build_cglp_pid(a=0.5, **args)
 
 
 def test_build_cglp_rejects_bad_ordering():
@@ -344,18 +345,13 @@ def test_build_cglp_rejects_bad_ordering():
 
 
 @pytest.mark.parametrize("variant", [1, 2])
-def test_build_cloc_uses_published_values(variant):
-    spec = build_cloc(variant)
+def test_build_cloc_uses_published_values(suite, variant):
+    spec = suite[f"cloc-{variant}"]
     poles_hz, zeros_hz, gamma, _ = ladder_hz(variant)
     assert to_hz(np.array(spec.params["poles"])) == pytest.approx(np.array(poles_hz))
     assert to_hz(np.array(spec.params["zeros"])) == pytest.approx(np.array(zeros_hz))
     assert spec.params["gamma"] == pytest.approx(gamma)
     assert spec.reset_part.n_r == 3
-
-
-def test_build_cloc_rejects_unknown_variant():
-    with pytest.raises(ValueError, match="variant"):
-        build_cloc(3)
 
 
 def test_cloc_forced_linear_still_crosses_over(plant):
