@@ -239,14 +239,13 @@ def _run_scenario(d, plant_tf, out_dir, man, tag=""):
         raise ValueError(f"feedforward must be true or false, got {feedforward!r}")
     kind, dist, dur, hold = _REFERENCES[ref]
     dt = finite_number(d, "dt_s", 1e-4)
-    cfg = SimConfig(dt=dt, duration=dur + hold,
+    cfg = SimConfig(dt=dt,
                     quantization=finite_number(d, "quantization_m", 100e-9),
                     noise_amplitude=finite_number(d, "noise_um", 0.0) * 1e-6,
-                    noise_seed=int(d.get("seed", 0)),
-                    feedforward=feedforward)
+                    noise_seed=int(d.get("seed", 0)))
     traj = generate_trajectory(kind, dist, dur, dt=dt, hold=hold)
     ff = None
-    if cfg.feedforward:
+    if feedforward:
         ff = make_feedforward(plant_tf, 100.0 * omega_c)
     plant_ss = tf_to_ss(plant_tf)
     base = f"{tag}{name}_{ref}"

@@ -35,21 +35,17 @@ class SimulationDiverged(ArithmeticError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run configuration.  Defaults model the 10 kHz sampled loop with a
-    100 nm position encoder and a clean sensor."""
+    """Sampler and sensor settings; the trajectory sets the run.  Defaults
+    model the 10 kHz loop with a 100 nm position encoder and a clean sensor."""
 
     dt: float = 1e-4
-    duration: float = 0.5
     quantization: float = 100e-9
     noise_amplitude: float = 0.0
     noise_seed: int = 0
-    feedforward: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (np.isfinite(self.duration) and self.duration >= 10 * self.dt):
-            raise ValueError("duration must be finite and cover at least 10 steps")
         for name in ("quantization", "noise_amplitude"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -99,6 +95,15 @@ def _scan_segments(snap, tau):
     return bounds
 
 
+def _scan_profile(distance, duration):
+    """(tau, unit-snap boundary states, snap level) of a scan profile."""
+    tau = duration / len(_SNAP_PATTERN)
+    unit = _scan_segments(_SNAP_PATTERN, tau)
+    if unit[-1][3] == 0.0:
+        raise ValueError("degenerate snap pattern")
+    return tau, unit, distance / unit[-1][3]
+
+
 def generate_trajectory(kind, distance, duration, dt=1e-4, hold=0.0) -> Trajectory:
     """Reference generator.
 
@@ -106,30 +111,25 @@ def generate_trajectory(kind, distance, duration, dt=1e-4, hold=0.0) -> Trajecto
     * ``fourth_order_scan``: symmetric bang-off-bang snap profile moving
       `distance` in `duration` with continuous r, velocity, acceleration,
       and jerk; snap is piecewise constant.
-    * ``sinusoid``: one full cycle of amplitude `distance` over `duration`.
 
-    Samples run from 0 to `duration + hold` inclusive at step dt; during
-    the hold the reference stays at its final value.
+    Samples run from 0 to `duration + hold` inclusive at step dt, at least
+    10 steps; during the hold the reference stays at its final value.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    for name, value in (("duration", duration), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (np.isfinite(hold) and hold >= 0):
+        raise ValueError(f"hold must be finite and >= 0, got {hold!r}")
     n = int(round((duration + hold) / dt))
+    if n < 10:
+        raise ValueError(f"the run must cover at least 10 steps of dt = {dt!r}")
     t = np.arange(n + 1) * dt
-    if kind == "step":
+    if kind not in ("step", "fourth_order_scan"):
+        raise ValueError(f"unknown trajectory kind {kind!r}")
+    if kind == "step" or distance == 0.0:
         r = np.full(t.shape, float(distance))
         return Trajectory(kind, t, r, float(distance), float(duration))
-    if kind == "sinusoid":
-        r = float(distance) * np.sin(2 * np.pi * np.minimum(t, duration) / duration)
-        return Trajectory(kind, t, r, float(distance), float(duration))
-    if kind != "fourth_order_scan":
-        raise ValueError(f"unknown trajectory kind {kind!r}")
-    if distance == 0.0:
-        return Trajectory(kind, t, np.zeros(t.shape), 0.0, float(duration))
-    tau = duration / len(_SNAP_PATTERN)
-    unit = _scan_segments(_SNAP_PATTERN, tau)
-    if unit[-1][3] == 0.0:
-        raise ValueError("degenerate snap pattern")
-    snap = distance / unit[-1][3]
+    tau, unit, snap = _scan_profile(distance, duration)
     r = np.empty(t.shape)
     for i, ti in enumerate(t):
         seg = min(int(ti / tau), len(_SNAP_PATTERN) - 1)
@@ -190,9 +190,7 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
             u[k] = float(ffss.C[0] @ x) + ffss.D * traj.r[k]
             x = Ad @ x + Bd * traj.r[k]
         return u
-    tau = traj.duration / len(_SNAP_PATTERN)
-    unit = _scan_segments(_SNAP_PATTERN, tau)
-    snap = traj.distance / unit[-1][3]
+    tau, _, snap = _scan_profile(traj.distance, traj.duration)
     # states: [x_ff, r, v, a, j], input: snap
     m = n + 4
     M = np.zeros((m + 1, m + 1))
@@ -250,31 +248,15 @@ def realize_controller(spec: ControllerSpec) -> ResetSystem:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Closed-loop run record.  ``y`` is the measured output (noise plus
-    quantization applied), ``e = r - y`` elementwise; the headline metrics
-    cover the full span and `metrics` recomputes them over any window."""
+    """Closed-loop run record: ``y`` is the measured output (noise plus
+    quantization applied) and ``e = r - y``; `metrics` scores it."""
 
     t: np.ndarray
     r: np.ndarray
     y: np.ndarray
     e: np.ndarray
     u: np.ndarray
-    e_rms: float
-    e_max: float
-    overshoot: float
     n_resets: int = 0
-
-
-def _finish(traj, y, e, u, n_resets):
-    t, r = traj.t, traj.r
-    e_rms = float(np.sqrt(np.mean(e**2)))
-    e_max = float(np.max(np.abs(e)))
-    step_size = traj.distance if traj.kind == "step" else 0.0
-    if step_size:
-        overshoot = max(0.0, float((np.max(y) - r[-1]) / step_size))
-    else:
-        overshoot = 0.0
-    return SimResult(t, r, y, e, u, e_rms, e_max, overshoot, n_resets)
 
 
 def _sampled_loop(plant: StateSpace, controller: ControllerSpec,
@@ -284,15 +266,18 @@ def _sampled_loop(plant: StateSpace, controller: ControllerSpec,
     and the feedforward command at the sample instants (zeros when off)."""
     if plant.D != 0.0:
         raise ValueError("plant must be strictly proper (no direct feedthrough)")
+    steps = np.diff(traj.t)
+    off = np.abs(steps - cfg.dt) > 1e-9 * cfg.dt
+    if off.any():
+        raise ValueError(f"cfg.dt = {cfg.dt!r} s does not match the "
+                         f"trajectory's sample step {float(steps[off][0])!r} s")
     rs = realize_controller(controller)
     Ac, Bc = _discretize(rs.base, cfg.dt)
     Ap, Bp = _discretize(plant, cfg.dt)
-    if cfg.feedforward and feedforward is None:
-        raise ValueError("cfg.feedforward is on but no feedforward filter given")
-    if cfg.feedforward:
-        u_ff = feedforward_signal(feedforward, traj, cfg.dt)
-    else:
+    if feedforward is None:
         u_ff = np.zeros(traj.t.size)
+    else:
+        u_ff = feedforward_signal(feedforward, traj, cfg.dt)
     return rs, Ac, Bc, Ap, Bp, u_ff
 
 
@@ -355,7 +340,7 @@ def simulate_closed_loop(plant: StateSpace, controller: ControllerSpec,
                 f"output blew up at t = {t[k]:.4f} s (|y| = {abs(yk):.3g})",
                 time=float(t[k]))
 
-    return _finish(traj, y, e, u, n_resets)
+    return SimResult(t, r, y, e, u, n_resets)
 
 
 def simulate_linear_closed_loop(plant: StateSpace, controller: ControllerSpec,
@@ -399,7 +384,7 @@ def simulate_linear_closed_loop(plant: StateSpace, controller: ControllerSpec,
         y[k], e[k] = yk, ek
         u[k] = float(Cc @ z[:nc]) + Dc * ek + u_ff[k]
         z = F @ z + G * r[k] + H * u_ff[k]
-    return _finish(traj, y, e, u, 0)
+    return SimResult(t, r, y, e, u, 0)
 
 
 def _whole(value, name):

@@ -33,6 +33,7 @@ from resetloop.sim import (
     SimConfig,
     SimulationDiverged,
     generate_trajectory,
+    metrics,
     simulate_closed_loop,
     simulate_linear_closed_loop,
     steady_state_harmonics,
@@ -106,7 +107,7 @@ def test_criterion_03_linear_limit():
     rng = np.random.default_rng(101)
     grid = log_grid(0.1, 50.0, 10)
     worst_df, worst_h, worst_sim = 0.0, 0.0, 0.0
-    cfg = SimConfig(dt=1e-3, duration=0.2, quantization=0.0)
+    cfg = SimConfig(dt=1e-3, quantization=0.0)
     traj = generate_trajectory("step", 1.0, 0.2, dt=1e-3)
     for _ in range(20):
         ctf = random_stable_tf(rng, 5, strictly_proper=True,
@@ -236,14 +237,14 @@ def test_criterion_07_loop_shaping_targets(plant, suite):
 def test_criterion_08_step_overshoot_ordering(plant, suite):
     plant_ss = tf_to_ss(plant)
     traj = generate_trajectory("step", 3e-6, 0.5)
-    cfg = SimConfig(duration=0.5, quantization=0.0)
+    cfg = SimConfig(quantization=0.0)
     overshoot = {}
     statuses = []
     for name, spec in suite.items():
         try:
             res = simulate_closed_loop(plant_ss, spec, traj, cfg)
-            overshoot[name] = res.overshoot
-            statuses.append(f"{name}: {res.overshoot * 100:.1f}%")
+            overshoot[name] = metrics(res, (res.t[0], res.t[-1]))[2]
+            statuses.append(f"{name}: {overshoot[name] * 100:.1f}%")
         except SimulationDiverged as exc:
             statuses.append(f"{name}: diverged at t={exc.time:.3f} s")
     ok = (set(overshoot) == set(suite)

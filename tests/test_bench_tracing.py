@@ -67,8 +67,7 @@ def _exercise(tmp):
     traj = sim.generate_trajectory("step", 3e-6, 0.01)
     ff = sim.make_feedforward(plant, 100.0 * pid.params["omega_c"])
     res = sim.simulate_closed_loop(lti.tf_to_ss(plant), pid, traj,
-                                   sim.SimConfig(duration=0.01, feedforward=True),
-                                   feedforward=ff)
+                                   sim.SimConfig(), feedforward=ff)
     sim.save_sim_csv(res, tmp / "sim.csv")
     sim.steady_state_harmonics(fore, lti.hz(50.0), 3, samples_per_period=200,
                                n_periods=2)

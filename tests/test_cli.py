@@ -346,6 +346,13 @@ def test_simulate_rejects_malformed_scenario_values(tmp_path, line):
     assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_simulate_rejects_a_step_too_coarse_for_the_run(tmp_path, capsys):
+    scen = tmp_path / "s.spec"
+    scen.write_text("controller = pid\nreference = step3um\ndt_s = 0.1\n")
+    assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
+    assert "at least 10 steps" in capsys.readouterr().err
+
+
 def test_simulate_feedforward_false_equals_absent(tmp_path):
     outs = []
     for tag, extra in (("absent", ""), ("false", "feedforward = false\n")):

@@ -112,6 +112,28 @@ def test_unknown_trajectory_kind():
         generate_trajectory("ramp", 1.0, 1.0)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    (dict(duration=float("nan")), "duration"),
+    (dict(duration=float("inf")), "duration"),
+    (dict(duration=0.0), "duration"),
+    (dict(duration=-0.1), "duration"),
+    (dict(dt=0.0), "dt"),
+    (dict(dt=-1e-4), "dt"),
+    (dict(dt=float("nan")), "dt"),
+    (dict(dt=float("inf")), "dt"),
+    (dict(hold=-0.05), "hold"),
+    (dict(hold=float("nan")), "hold"),
+    (dict(hold=float("inf")), "hold"),
+    (dict(duration=9e-4), "10 steps"),
+    (dict(duration=0.5, dt=0.1), "10 steps"),
+])
+@pytest.mark.parametrize("kind", ["step", "fourth_order_scan"])
+def test_generate_trajectory_rejects_bad_values(kind, kwargs, match):
+    args = dict(duration=0.1, dt=1e-4, hold=0.0) | kwargs
+    with pytest.raises(ValueError, match=match):
+        generate_trajectory(kind, 100e-6, **args)
+
+
 # --- feedforward -------------------------------------------------------------
 
 def test_feedforward_structure_for_stage_plant(plant):
@@ -149,12 +171,12 @@ def test_feedforward_error_shrinks_with_relegation_frequency(plant):
         prev = resid
 
 
-def test_feedforward_open_loop_tracking(plant):
-    # time-domain check at the sampled rate: the inversion drive cuts the
-    # open-loop tracking error by well over an order of magnitude
+def _open_loop_tracking_error(plant, duration):
+    """Peak |r - y| of the plant driven open loop by the feedforward
+    command of a 100 um scan lasting `duration` s."""
     from resetloop.sim import _discretize, feedforward_signal
 
-    traj = generate_trajectory("fourth_order_scan", 100e-6, 0.397, hold=0.1)
+    traj = generate_trajectory("fourth_order_scan", 100e-6, duration, hold=0.1)
     plant_ss = tf_to_ss(plant)
     ff = make_feedforward(plant, 10.0 * hz(150.0))
     u_ff = feedforward_signal(ff, traj, 1e-4)
@@ -165,7 +187,22 @@ def test_feedforward_open_loop_tracking(plant):
         y = float(plant_ss.C[0] @ xp)
         err = max(err, abs(traj.r[k] - y))
         xp = Ap @ xp + Bp * u_ff[k]
-    assert err < 0.01 * 100e-6
+    return err
+
+
+def test_feedforward_open_loop_tracking(plant):
+    # time-domain check at the sampled rate: the inversion drive cuts the
+    # open-loop tracking error by well over an order of magnitude
+    assert _open_loop_tracking_error(plant, 0.397) < 0.01 * 100e-6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "0.093 s puts snap switches on samples; snap_at(i * tau) rounds to "
+    "segment i - 1, so the reference chain is driven with the previous "
+    "snap level"))
+def test_feedforward_open_loop_tracking_with_switches_on_samples(plant):
+    # ref3: tau = 0.093 / 15 s is 62 samples, so every switch lands on one
+    assert _open_loop_tracking_error(plant, 0.093) < 0.01 * 100e-6
 
 
 # --- harmonic oracle ---------------------------------------------------------
@@ -344,9 +381,14 @@ def _pid_spec(plant):
     return spec.with_kp(normalize_open_loop_gain(spec, plant, hz(150.0)))
 
 
+def _scores(res):
+    """`metrics` over the whole run."""
+    return metrics(res, (res.t[0], res.t[-1]))
+
+
 def test_zero_reference_stays_at_zero(plant, suite):
     traj = generate_trajectory("step", 0.0, 0.05)
-    cfg = SimConfig(duration=0.05, quantization=0.0)
+    cfg = SimConfig(quantization=0.0)
     plant_ss = tf_to_ss(plant)
     for spec in suite.values():
         res = simulate_closed_loop(plant_ss, spec, traj, cfg)
@@ -357,7 +399,7 @@ def test_zero_reference_stays_at_zero(plant, suite):
 def test_pid_step_settles_within_quantization(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.5)
-    cfg = SimConfig(duration=0.5)
+    cfg = SimConfig()
     res = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
     tail = res.e[res.t > 0.4]
     assert np.max(np.abs(tail)) <= cfg.quantization + 1e-12
@@ -369,14 +411,13 @@ def test_reset_fires_twice_per_period_in_steady_sinusoid(plant):
     spec = ControllerSpec("pid", "fore-loop", (pi_stage(hz(15.0)),),
                           fore(hz(20.0), 0.0), 1.0, {})
     f0 = 10.0
-    traj = generate_trajectory("sinusoid", 1e-6, 1.0 / f0, hold=0.0)
     # stretch to 10 cycles
     t = np.arange(0, 1.0, 1e-4)
     r = 1e-6 * np.sin(2 * np.pi * f0 * t)
     from resetloop.sim import Trajectory
 
     traj = Trajectory("sinusoid", t, r, 1e-6, 1.0)
-    cfg = SimConfig(duration=1.0, quantization=0.0)
+    cfg = SimConfig(quantization=0.0)
     res = simulate_closed_loop(tf_to_ss(tiny), spec, traj, cfg)
     # 10 cycles -> 20 crossings (the first may or may not register)
     assert abs(res.n_resets - 20) <= 1
@@ -385,29 +426,27 @@ def test_reset_fires_twice_per_period_in_steady_sinusoid(plant):
 def test_determinism_bit_identical(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.2)
-    cfg = SimConfig(duration=0.2, noise_amplitude=2e-6, noise_seed=42)
+    cfg = SimConfig(noise_amplitude=2e-6, noise_seed=42)
     a = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
     b = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.u, b.u)
-    assert a.e_rms == b.e_rms
+    assert _scores(a) == _scores(b)
 
 
 def test_noise_seed_changes_output(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.2)
     a = simulate_closed_loop(tf_to_ss(plant), spec, traj,
-                             SimConfig(duration=0.2, noise_amplitude=2e-6,
-                                       noise_seed=1))
+                             SimConfig(noise_amplitude=2e-6, noise_seed=1))
     b = simulate_closed_loop(tf_to_ss(plant), spec, traj,
-                             SimConfig(duration=0.2, noise_amplitude=2e-6,
-                                       noise_seed=2))
+                             SimConfig(noise_amplitude=2e-6, noise_seed=2))
     assert not np.array_equal(a.y, b.y)
 
 
 def test_hybrid_matches_monolithic_linear_path_randomized():
     rng = np.random.default_rng(5)
-    cfg = SimConfig(dt=1e-3, duration=0.2, quantization=0.0)
+    cfg = SimConfig(dt=1e-3, quantization=0.0)
     traj = generate_trajectory("step", 1.0, 0.2, dt=1e-3)
     for _ in range(8):
         plant_tf = random_stable_tf(rng, 3, strictly_proper=True,
@@ -429,16 +468,26 @@ def test_hybrid_matches_monolithic_linear_path_randomized():
 def test_linear_oracle_requires_clean_sensor(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.05)
-    for cfg in (SimConfig(duration=0.05),
-                SimConfig(duration=0.05, quantization=0.0, noise_amplitude=1e-7)):
+    for cfg in (SimConfig(),
+                SimConfig(quantization=0.0, noise_amplitude=1e-7)):
         with pytest.raises(ValueError, match="clean sensor"):
             simulate_linear_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+
+
+@pytest.mark.parametrize("simulate", [simulate_closed_loop,
+                                      simulate_linear_closed_loop])
+def test_simulators_reject_a_dt_that_disagrees_with_the_trajectory(plant,
+                                                                   simulate):
+    spec = _pid_spec(plant)
+    traj = generate_trajectory("step", 3e-6, 0.5, dt=1e-3)
+    with pytest.raises(ValueError, match=r"cfg\.dt = 0\.0001 s .* 0\.001"):
+        simulate(tf_to_ss(plant), spec, traj, SimConfig(quantization=0.0))
 
 
 def test_quantization_floors_measurement(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.3)
-    cfg = SimConfig(duration=0.3, quantization=100e-9)
+    cfg = SimConfig(quantization=100e-9)
     res = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
     grid_residue = res.y / 100e-9 - np.round(res.y / 100e-9)
     assert np.max(np.abs(grid_residue)) < 1e-6
@@ -448,7 +497,7 @@ def test_divergence_reported_with_time(plant, suite):
     # the strongest reset designs destabilize the sampled loop on the
     # bundled model; the simulator must say when
     traj = generate_trajectory("step", 3e-6, 0.4)
-    cfg = SimConfig(duration=0.4)
+    cfg = SimConfig()
     with pytest.raises(SimulationDiverged) as exc:
         simulate_closed_loop(tf_to_ss(plant), suite["cloc-2"], traj, cfg)
     assert exc.value.time is not None
@@ -459,7 +508,7 @@ def test_non_finite_output_is_divergence(plant):
     # a NaN loop gain poisons the first control sample; the output turns
     # NaN one step later and must not be returned as a result
     spec = _pid_spec(plant).with_kp(float("nan"))
-    cfg = SimConfig(duration=0.05)
+    cfg = SimConfig()
     traj = generate_trajectory("step", 3e-6, 0.05)
     with pytest.raises(SimulationDiverged) as exc:
         simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
@@ -468,7 +517,6 @@ def test_non_finite_output_is_divergence(plant):
 
 @pytest.mark.parametrize("kwargs", [
     dict(dt=float("nan")), dict(dt=float("inf")),
-    dict(duration=float("nan")), dict(duration=float("inf")),
     dict(quantization=-1.0), dict(quantization=float("nan")),
     dict(quantization=float("inf")),
     dict(noise_amplitude=-2e-6), dict(noise_amplitude=float("nan")),
@@ -478,26 +526,18 @@ def test_sim_config_rejects_bad_values(kwargs):
         SimConfig(**kwargs)
 
 
-def test_feedforward_switch_requires_filter(plant):
-    spec = _pid_spec(plant)
-    traj = generate_trajectory("step", 3e-6, 0.05)
-    cfg = SimConfig(duration=0.05, feedforward=True)
-    with pytest.raises(ValueError, match="feedforward"):
-        simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
-
-
 def test_feedforward_improves_tracking(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("fourth_order_scan", 100e-6, 0.397, hold=0.1)
     plant_ss = tf_to_ss(plant)
     base = simulate_closed_loop(
-        plant_ss, spec, traj, SimConfig(duration=0.497, quantization=0.0))
+        plant_ss, spec, traj, SimConfig(quantization=0.0))
     ff = make_feedforward(plant, 100.0 * hz(150.0))
     with_ff = simulate_closed_loop(
         plant_ss, spec, traj,
-        SimConfig(duration=0.497, quantization=0.0, feedforward=True),
+        SimConfig(quantization=0.0),
         feedforward=ff)
-    assert with_ff.e_rms < 0.2 * base.e_rms
+    assert _scores(with_ff)[0] < 0.2 * _scores(base)[0]
 
 
 # --- metrics -----------------------------------------------------------------
@@ -506,7 +546,7 @@ def _fake_result(t, r, y):
     e = r - y
     from resetloop.sim import SimResult
 
-    return SimResult(t, r, y, e, np.zeros_like(t), 0.0, 0.0, 0.0)
+    return SimResult(t, r, y, e, np.zeros_like(t))
 
 
 def test_metrics_constant_error_in_table_units():
@@ -543,7 +583,7 @@ def test_sim_csv_format(tmp_path, plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.01)
     res = simulate_closed_loop(tf_to_ss(plant), spec, traj,
-                               SimConfig(duration=0.01))
+                               SimConfig())
     path = tmp_path / "run.csv"
     save_sim_csv(res, path)
     lines = path.read_text().splitlines()
@@ -562,7 +602,7 @@ def test_downsampling_robustness_on_tracking(plant):
     for dt in (1e-4, 5e-5):
         traj = generate_trajectory("fourth_order_scan", 100e-6, 0.397,
                                    dt=dt, hold=0.1)
-        cfg = SimConfig(dt=dt, duration=0.497, quantization=0.0)
+        cfg = SimConfig(dt=dt, quantization=0.0)
         res = simulate_closed_loop(plant_ss, spec, traj, cfg)
-        vals.append(res.e_rms)
+        vals.append(_scores(res)[0])
     assert abs(vals[1] / vals[0] - 1) < 0.01
