@@ -63,6 +63,7 @@ from .specfile import (
 from .synthesis import (
     ApproxBand,
     CroneApprox,
+    build_benchmark_suite,
     controller_harmonic,
     crone_place,
     fit_band,
@@ -94,8 +95,7 @@ def _write_harmonic_files(out_dir, d, grid, orders, man):
     spec = build_controller(d)
     for n in orders:
         path = os.path.join(out_dir, f"harmonic_{n:02d}.csv")
-        values = (controller_harmonic(spec, grid, n) if n % 2
-                  else np.zeros(grid.shape))
+        values = controller_harmonic(spec, grid, n)
         save_harmonics(path, [HarmonicResponse(grid, n, values)])
         man.add(path)
 
@@ -220,17 +220,8 @@ _REFERENCES = {
 }
 
 
-def _run_scenario(d, plant_tf, out_dir, man, tag=""):
-    name = d["controller"]
-    if not isinstance(name, str):
-        raise ValueError(f"controller must be a builtin name or a spec path, "
-                         f"got {name!r}")
-    spec = build_controller(_load_spec(name))
-    omega_c = spec.params.get("omega_c")
-    if omega_c is None:
-        raise ValueError(f"{name!r} is not a loop controller: its spec has "
-                         "no omega_c_hz")
-    spec = spec.with_kp(normalize_open_loop_gain(spec, plant_tf, omega_c))
+def _run_scenario(name, spec, d, plant_tf, out_dir, man, tag=""):
+    """Scenario ``d`` for ``spec``, whose kp is normalized on plant_tf."""
     ref = d.get("reference", "step3um")
     if ref not in _REFERENCES:
         raise ValueError(f"unknown reference {ref!r}")
@@ -246,7 +237,7 @@ def _run_scenario(d, plant_tf, out_dir, man, tag=""):
     traj = generate_trajectory(kind, dist, dur, dt=dt, hold=hold)
     ff = None
     if feedforward:
-        ff = make_feedforward(plant_tf, 100.0 * omega_c)
+        ff = make_feedforward(plant_tf, 100.0 * spec.omega_c)
     plant_ss = tf_to_ss(plant_tf)
     base = f"{tag}{name}_{ref}"
     report_path = os.path.join(out_dir, f"{base}_metrics.txt")
@@ -288,7 +279,17 @@ def cmd_simulate(args):
         d["seed"] = int(seed)
     os.makedirs(args.out, exist_ok=True)
     man = Manifest("simulate", args.out, seed=d.get("seed"))
-    res, report = _run_scenario(d, stage_plant(), args.out, man)
+    name = d["controller"]
+    if not isinstance(name, str):
+        raise ValueError(f"controller must be a builtin name or a spec path, "
+                         f"got {name!r}")
+    spec = build_controller(_load_spec(name))
+    if spec.omega_c is None:
+        raise ValueError(f"{name!r} is not a loop controller: its spec has "
+                         "no omega_c_hz")
+    plant = stage_plant()
+    spec = spec.with_kp(normalize_open_loop_gain(spec, plant, spec.omega_c))
+    res, report = _run_scenario(name, spec, d, plant, args.out, man)
     man.write()
     print(f"wrote {report}")
     return 0 if res is not None else 3
@@ -328,19 +329,19 @@ def cmd_reproduce(args):
         slopes_path = os.path.join(d3, "slopes.txt")
         with open(slopes_path, "w", encoding="utf-8") as fh:
             for name in ("cloc-1", "cloc-2"):
-                spec = build_controller(builtins[name])
+                d = builtins[name]
                 grid = log_grid(1.0, 5000.0, 50)
-                vals = controller_harmonic(spec, grid, 1)
+                vals = controller_harmonic(build_controller(d), grid, 1)
                 # strip PI and low-pass to leave the bare filter
-                pi = pi_stage(spec.params["omega_i"])
+                pi = pi_stage(hz(d["omega_i_hz"]))
                 lpf_vals = (pi(1j * grid)
-                            * first_order_lag(spec.params["omega_f"])(1j * grid))
+                            * first_order_lag(hz(d["omega_f_hz"]))(1j * grid))
                 filt_vals = vals / lpf_vals
                 p1 = os.path.join(d3, f"{name.replace('-', '')}_filter_reset.csv")
                 _write_response_csv(p1, grid, filt_vals)
                 man.add(p1)
-                crone = CroneApprox(tuple(spec.params["zeros"]),
-                                    tuple(spec.params["poles"]), 1.0)
+                crone = CroneApprox(tuple(hz(np.array(d["zeros_hz"]))),
+                                    tuple(hz(np.array(d["poles_hz"]))), 1.0)
                 fit = slope_estimate(HarmonicResponse(grid, 1, filt_vals),
                                      fit_band(crone))
                 fh.write(f"{name}: gain {fit.gain_slope:.3f} dB/dec, "
@@ -363,15 +364,15 @@ def cmd_reproduce(args):
         # open-loop first harmonics + crossover report
         d5 = os.path.join(out, "05_open_loop")
         os.makedirs(d5, exist_ok=True)
+        # each design normalized once per plant, used by every later stage
+        suite = build_benchmark_suite(plant_tf)
         plant_for_loop = plant_resp if plant_resp is not None else plant_tf
+        loop_suite = suite if plant_resp is None else build_benchmark_suite(plant_resp)
         grid = log_grid(1.0, 2000.0, 50)
         pm_path = os.path.join(d5, "crossover_pm.txt")
         views = {}
         with open(pm_path, "w", encoding="utf-8") as fh:
-            for name in SUITE:
-                spec = build_controller(builtins[name])
-                spec = spec.with_kp(normalize_open_loop_gain(
-                    spec, plant_for_loop, spec.params["omega_c"]))
+            for name, spec in loop_suite.items():
                 view = open_loop_view(spec, plant_for_loop, grid)
                 views[name] = view
                 path = os.path.join(d5, f"{name}.csv")
@@ -395,9 +396,9 @@ def cmd_reproduce(args):
         # step responses (hybrid simulation; instability is a result)
         d6 = os.path.join(out, "06_step_responses")
         os.makedirs(d6, exist_ok=True)
-        for name in SUITE:
-            _run_scenario({"controller": name, "reference": "step3um",
-                           "seed": args.seed}, plant_tf, d6, man)
+        for name, spec in suite.items():
+            _run_scenario(name, spec, {"reference": "step3um", "seed": args.seed},
+                          plant_tf, d6, man)
 
         # tracking and noise metrics, simulation only
         d8 = os.path.join(out, "08_tracking_metrics")
@@ -407,15 +408,15 @@ def cmd_reproduce(args):
             fh.write("Simulated closed-loop metrics on the bundled plant "
                      "model -- simulation, not hardware.\n")
         man.add(note)
-        for name in SUITE:
+        for name, spec in suite.items():
             for ref in ("ref1", "ref2", "ref3"):
-                _run_scenario({"controller": name, "reference": ref,
-                               "seed": args.seed}, plant_tf, d8, man)
-                _run_scenario({"controller": name, "reference": ref,
-                               "seed": args.seed, "feedforward": True},
+                _run_scenario(name, spec, {"reference": ref, "seed": args.seed},
+                              plant_tf, d8, man)
+                _run_scenario(name, spec, {"reference": ref, "seed": args.seed,
+                                           "feedforward": True},
                               plant_tf, d8, man, tag="ff_")
-            _run_scenario({"controller": name, "reference": "step3um",
-                           "noise_um": 2.0, "seed": args.seed + 17},
+            _run_scenario(name, spec, {"reference": "step3um", "noise_um": 2.0,
+                                       "seed": args.seed + 17},
                           plant_tf, d8, man, tag="noise_")
     except ArithmeticError as exc:
         # numerical failure (exit 3); input errors reach main (exit 2)

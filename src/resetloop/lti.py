@@ -89,10 +89,6 @@ class TransferFunction:
         object.__setattr__(self, "den", tuple(den))
 
     @property
-    def degree(self):
-        return len(self.den) - 1
-
-    @property
     def is_proper(self):
         return len(self.num) <= len(self.den)
 
@@ -109,10 +105,6 @@ def unity_tf():
     return TransferFunction((1.0,), (1.0,))
 
 
-def integrator():
-    return TransferFunction((1.0,), (1.0, 0.0))
-
-
 def first_order_lag(omega0):
     """1 / (s/omega0 + 1)"""
     if omega0 <= 0:
@@ -125,13 +117,6 @@ def lead_lag(omega_z, omega_p):
     if omega_z <= 0 or omega_p <= 0:
         raise ValueError("corner frequencies must be positive")
     return TransferFunction((1.0 / omega_z, 1.0), (1.0 / omega_p, 1.0))
-
-
-def second_order_lag(omega0, damping):
-    """1 / ((s/omega0)^2 + 2*damping*s/omega0 + 1)"""
-    if omega0 <= 0:
-        raise ValueError("corner frequency must be positive")
-    return TransferFunction((1.0,), (1.0 / omega0**2, 2.0 * damping / omega0, 1.0))
 
 
 def series(a: TransferFunction, b: TransferFunction) -> TransferFunction:
@@ -252,11 +237,8 @@ class FrequencyResponse:
     def mag_db(self):
         return 20.0 * np.log10(np.abs(self.values))
 
-    def phase_deg(self, unwrapped=True):
-        ph = np.angle(self.values)
-        if unwrapped:
-            ph = np.unwrap(ph)
-        return np.degrees(ph)
+    def phase_deg(self):
+        return np.degrees(np.unwrap(np.angle(self.values)))
 
     def at(self, omega):
         """Log-frequency linear interpolation of dB magnitude and degrees."""

@@ -177,11 +177,8 @@ class HarmonicResponse:
         with np.errstate(divide="ignore"):
             return 20.0 * np.log10(np.abs(self.values))
 
-    def phase_deg(self, unwrapped=True):
-        ph = np.angle(self.values)
-        if unwrapped:
-            ph = np.unwrap(ph)
-        return np.degrees(ph)
+    def phase_deg(self):
+        return np.degrees(np.unwrap(np.angle(self.values)))
 
 
 def _check_grid(grid):

@@ -177,20 +177,21 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
     so the filter is driven by the continuous trajectory instead: the
     position/velocity/acceleration/jerk chain rides along as exact extra
     states and only the piecewise-constant snap enters as a held input.
-    Other trajectory kinds fall back to the plain held-reference drive.
+    A step (or a zero-distance scan) is the same chain with zero snap and
+    no switching instants.
     """
+    if traj.kind not in ("step", "fourth_order_scan"):
+        raise ValueError(f"no feedforward drive for a {traj.kind!r} trajectory")
     ffss = tf_to_ss(ff)
     n = ffss.order
     K = traj.t.size
-    if traj.kind != "fourth_order_scan" or traj.distance == 0.0:
-        Ad, Bd = _discretize(ffss, dt)
-        u = np.empty(K)
-        x = np.zeros(n)
-        for k in range(K):
-            u[k] = float(ffss.C[0] @ x) + ffss.D * traj.r[k]
-            x = Ad @ x + Bd * traj.r[k]
-        return u
-    tau, _, snap = _scan_profile(traj.distance, traj.duration)
+    tau, snap, boundaries = traj.duration, 0.0, []   # a held reference
+    if traj.kind == "fourth_order_scan" and traj.distance != 0.0:
+        tau, _, snap = _scan_profile(traj.distance, traj.duration)
+        # snap switching instants; a sample interval spanning one is split
+        # there so the reference chain is exact and never needs a
+        # discontinuous correction
+        boundaries = [i * tau for i in range(1, len(_SNAP_PATTERN) + 1)]
     # states: [x_ff, r, v, a, j], input: snap
     m = n + 4
     M = np.zeros((m + 1, m + 1))
@@ -208,10 +209,8 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
             return 0.0
         return snap * _SNAP_PATTERN[min(int(t / tau), 14)]
 
-    # snap switching instants; a step spanning one is split there so the
-    # reference chain is exact and never needs a discontinuous correction
-    boundaries = [i * tau for i in range(1, len(_SNAP_PATTERN) + 1)]
     z = np.zeros(m)
+    z[n] = traj.r[0]
     u = np.empty(K)
     b = 0
     for k in range(K):

@@ -8,7 +8,8 @@ repr so parse(emit(parse(x))) == parse(x) bit for bit.
 ``build_controller`` is the one place a parsed spec becomes a
 ControllerSpec, for every kind: the bare reset elements (clegg, fore,
 sore), the constant-gain lead stage (cglp), and the loop controllers (pid,
-cglp-pid, cglp-pi, cloc).
+cglp-pid, cglp-pi, cloc).  The spec dict stays the one description of a
+design: the ControllerSpec keeps only the built stages and the crossover.
 
 The stock designs are defined here once: ``_builtin_specs`` is the table of
 the ten builtin specs and ``SUITE`` names the five the paper compares.
@@ -152,7 +153,9 @@ def build_controller(d: dict) -> ControllerSpec:
     kinds give a spec with no linear parts and the element as
     ``reset_part``; only the loop controllers carry ``omega_c``.  A key
     the kind does not read is rejected, so a misspelt one cannot fall back
-    to a default unnoticed."""
+    to a default unnoticed.  A cloc's ``omega_l_hz`` records the foot of
+    the band its ladder was placed on: it must be finite but does not
+    change the build."""
     d = _Reads(d)
     kind = d["kind"]
     kp = finite_number(d, "kp", 1.0)
@@ -161,7 +164,7 @@ def build_controller(d: dict) -> ControllerSpec:
         return {n: hz(finite_number(d, n + "_hz")) for n in names}
 
     def element(rs):
-        return ControllerSpec(kind, kind, (), rs, 1.0, {})
+        return ControllerSpec(kind, kind, (), rs, 1.0, None)
 
     loop = ("omega_c", "omega_i", "omega_f")
     lead = ("omega_r", "omega_r_alpha")
@@ -174,13 +177,12 @@ def build_controller(d: dict) -> ControllerSpec:
                             damping=finite_number(d, "beta_r", 1.0),
                             gamma=finite_numbers(d, "gamma", 0.0)))
     elif kind == "cglp":
-        params, gamma = omegas(*lead, "omega_f"), _one_gamma(d)
+        corners, gamma = omegas(*lead, "omega_f"), _one_gamma(d)
         order = finite_number(d, "filter_order", 1.0)
         # only the second-order lag has a damping
         beta_r = finite_number(d, "beta_r", 1.0) if order == 2 else 1.0
-        stage = build_cglp(order, beta_r=beta_r, gamma=gamma, **params)
-        spec = ControllerSpec(kind, kind, (stage.lead,), stage.reset_part,
-                              1.0, dict(params, gamma=(gamma,)))
+        stage = build_cglp(order, beta_r=beta_r, gamma=gamma, **corners)
+        spec = ControllerSpec(kind, kind, (stage.lead,), stage.reset_part, 1.0, None)
     elif kind == "pid":
         spec = build_pid(a=finite_number(d, "a"), **omegas(*loop))
     elif kind == "cglp-pid":
@@ -191,7 +193,8 @@ def build_controller(d: dict) -> ControllerSpec:
             beta_r=finite_number(d, "beta_r", CGLP_SORE_DAMPING),
             gamma=_one_gamma(d), **omegas(*loop, *lead))
     elif kind == "cloc":
-        band = [n for n in ("omega_l", "omega_h") if n + "_hz" in d]
+        finite_number(d, "omega_l_hz", 0.0)   # the placement band: checked, not built
+        band = ["omega_h"] if "omega_h_hz" in d else []
         spec = build_cloc_from(
             poles=hz(np.array(finite_numbers(d, "poles_hz"))),
             zeros=hz(np.array(finite_numbers(d, "zeros_hz"))),
@@ -265,7 +268,7 @@ def matched_sore_gamma() -> float:
     bisection (the phase is monotone in gamma over [-1, 1])."""
     def phase_deg(d):   # controller phase at the design's crossover
         c = build_controller(d)
-        return np.degrees(np.angle(controller_harmonic(c, [c.params["omega_c"]])[0]))
+        return np.degrees(np.angle(controller_harmonic(c, [c.omega_c])[0]))
 
     table = _builtin_specs(matched_gamma=0.0)
     reference = phase_deg(table["pid"])

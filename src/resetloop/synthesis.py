@@ -5,6 +5,8 @@ derivatives, the reset split that turns such a ladder into a complex-order
 filter, reset-map tuning by exhaustive grid search, and factories for the
 loop controllers.  The five stock designs (pid, cglp-pid, cglp-pi, cloc-1,
 cloc-2) are defined once, by specfile's builtin table over the constants here.
+A factory returns the built stages and the crossover omega_c, not a second
+copy of the design it was given.
 
 All frequencies in this module are rad/s; the stock design constants are
 written in Hz and converted where they are used.
@@ -45,13 +47,18 @@ PHASE_SLOPE_PER_BETA = np.degrees(np.log(10.0))
 #: omega_h below ~3 degrees per pole
 DEFAULT_TAMING_FACTOR = 20.0
 
-#: slope fits run on [omega_p1 * trim, omega_zN / trim]; the ladder is flat
-#: only interior to its band
-DEFAULT_FIT_TRIM = 1.5
+#: slope fits run on [omega_p1 * FIT_TRIM, omega_zN / FIT_TRIM]; the ladder
+#: is flat only interior to its band
+FIT_TRIM = 1.5
 
 #: tuner objective weights (gain, phase): 1 per (dB/dec)^2 and 0.04 per
 #: (deg/dec)^2, equalizing the -10 dB/dec vs 125 deg/dec scales
-DEFAULT_WEIGHTS = (1.0, 0.04)
+TUNE_WEIGHTS = (1.0, 0.04)
+
+#: tuner grid density, and the refine pass's gamma step and coarse seed count
+TUNE_POINTS_PER_DECADE = 50
+TUNE_REFINE_DELTA = 0.01
+TUNE_TOP_K = 3
 
 
 @dataclass(frozen=True)
@@ -121,13 +128,9 @@ class ComplexOrderFilter:
     def response(self, grid, harmonic=1) -> np.ndarray:
         """Complex gain of the chosen harmonic: reset block harmonics pass
         through the linear block at n * omega."""
-        grid = np.asarray(grid, dtype=float)
-        if harmonic == 1:
-            res = describing_function(self.c_r, grid).values
-        else:
-            res = hosidf(self.c_r, grid, harmonic).values
-        lin = self.c_nr(1j * harmonic * grid)
-        return self.gain * res * lin
+        spec = ControllerSpec("filter", "filter", (self.c_nr,), self.c_r,
+                              self.gain, None)
+        return controller_harmonic(spec, grid, harmonic)
 
 
 def crone_place(order_real: float, band: ApproxBand) -> CroneApprox:
@@ -213,9 +216,9 @@ def order_to_slopes(order: ComplexOrder):
     return 20.0 * order.alpha, PHASE_SLOPE_PER_BETA * order.beta
 
 
-def fit_band(crone: CroneApprox, trim=DEFAULT_FIT_TRIM):
-    """Interior slope-fit band [omega_p1 * trim, omega_zN / trim]."""
-    return crone.poles[0] * trim, crone.zeros[-1] / trim
+def fit_band(crone: CroneApprox):
+    """Interior slope-fit band [omega_p1 * FIT_TRIM, omega_zN / FIT_TRIM]."""
+    return crone.poles[0] * FIT_TRIM, crone.zeros[-1] / FIT_TRIM
 
 
 @dataclass(frozen=True)
@@ -243,47 +246,42 @@ def _refine_axis(center, refine_delta, steps):
     return np.clip(refine_delta * index, -1.0, 1.0)
 
 
-def tune_arho(crone: CroneApprox, target, delta=0.1, weights=DEFAULT_WEIGHTS,
-              taming_factor=DEFAULT_TAMING_FACTOR, trim=DEFAULT_FIT_TRIM,
-              points_per_decade=50, refine=True, refine_delta=0.01,
-              top_k=3) -> TuneResult:
+def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
     """Pick the reset factors that best hit a (gain slope, phase slope)
     target.
 
     Every combination gamma_i in -1:delta:1 is scored by the weighted
     squared slope error of the filter's first-harmonic response over the
-    trimmed band; a local grid at refine_delta around the best top_k
-    coarse candidates sharpens the answer.  The returned objective is the
-    minimum over every evaluated point, and ties break toward the
-    lexicographically smallest gamma vector, so the result is deterministic
-    no matter how the evaluations are ordered.
+    trimmed band; with ``refine``, a local grid at TUNE_REFINE_DELTA around
+    the best TUNE_TOP_K coarse candidates sharpens the answer.  The
+    returned objective is the minimum over every evaluated point, and ties
+    break toward the lexicographically smallest gamma vector, so the result
+    is deterministic no matter how the evaluations are ordered.
     """
     tg, tp = float(target[0]), float(target[1])
     if not (np.isfinite(tg) and np.isfinite(tp)):
         raise ValueError("target slopes must be finite")
-    wg, wp = float(weights[0]), float(weights[1])
-    if wg <= 0 and wp <= 0:
-        raise ValueError("at least one weight must be positive")
-    lo, hi = fit_band(crone, trim)
+    wg, wp = TUNE_WEIGHTS
+    lo, hi = fit_band(crone)
     if hi <= lo:
-        raise ValueError("empty fit band; widen the ladder or lower trim")
-    npts = max(12, int(round(np.log10(hi / lo) * points_per_decade)) + 1)
+        raise ValueError("empty fit band; widen the ladder")
+    npts = max(12, int(round(np.log10(hi / lo) * TUNE_POINTS_PER_DECADE)) + 1)
     grid = np.logspace(np.log10(lo), np.log10(hi), npts)
 
-    top = float(max(crone.zeros))
-    c_nr = series_all([lead_lag(z, taming_factor * top) for z in crone.zeros])
-    lin_vals = c_nr(1j * grid)
+    n = crone.n_pairs
+    # the linear block and the reset block's flow do not depend on gamma
+    linear = split_reset(crone, np.ones(n))
+    lin_vals = linear.c_nr(1j * grid)
 
     x = np.log10(grid)
     X = np.vstack([x, np.ones_like(x)]).T
     pinv_row = np.linalg.pinv(X)[0]
 
-    n = crone.n_pairs
     coarse = np.array(list(itertools.product(_gamma_grid_values(delta), repeat=n)))
-    base = lag_chain(crone.poles, np.ones(n)).base   # the gamma-independent flow
 
     def evaluate(gammas):
-        vals = describing_function_gamma_batch(base, n, gammas, grid) * lin_vals[None, :]
+        vals = (describing_function_gamma_batch(linear.c_r.base, n, gammas, grid)
+                * lin_vals[None, :])
         gs = 20.0 * np.log10(np.abs(vals)) @ pinv_row
         ps = np.degrees(np.unwrap(np.angle(vals), axis=1)) @ pinv_row
         return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
@@ -296,13 +294,13 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, weights=DEFAULT_WEIGHTS,
     top_points = tuple((tuple(float(v) for v in coarse[i]), float(obj[i]))
                        for i in ranked[:10])
 
-    if refine and refine_delta < delta:
+    if refine and TUNE_REFINE_DELTA < delta:
         # local polish only: the window never exceeds one coarse cell and
         # is capped so huge coarse deltas stay cheap
-        window = min(delta, 10.0 * refine_delta)
-        steps = int(round(window / refine_delta))
-        for idx in ranked[:top_k]:   # coarse grid points are distinct
-            axes = [_refine_axis(c, refine_delta, steps) for c in coarse[idx]]
+        window = min(delta, 10.0 * TUNE_REFINE_DELTA)
+        steps = int(round(window / TUNE_REFINE_DELTA))
+        for idx in ranked[:TUNE_TOP_K]:   # coarse grid points are distinct
+            axes = [_refine_axis(c, TUNE_REFINE_DELTA, steps) for c in coarse[idx]]
             evaluated.append(evaluate(np.array(list(itertools.product(*axes)))))
 
     g_all, o_all, gs_all, ps_all = (np.concatenate(c) for c in zip(*evaluated))
@@ -320,8 +318,10 @@ class ControllerSpec:
     """A series controller: optional reset element followed by linear
     stages, scaled by the loop gain kp.
 
-    ``params`` carries the named design frequencies (rad/s) so the spec can
-    be written to and rebuilt from a text file.
+    ``omega_c`` is the crossover (rad/s) a loop controller is designed for,
+    where its kp is normalized against a plant; it is None for a bare reset
+    element or a constant-gain lead stage.  The design itself lives in the
+    spec dict the controller was built from (see specfile).
     """
 
     kind: str
@@ -329,7 +329,7 @@ class ControllerSpec:
     linear_parts: tuple
     reset_part: ResetSystem | None
     kp: float
-    params: dict
+    omega_c: float | None
 
     def linear_tf(self) -> TransferFunction:
         return series_all(self.linear_parts)
@@ -387,9 +387,7 @@ def build_pid(omega_c, a, omega_i, omega_f) -> ControllerSpec:
     if a > 1.0:
         parts.append(lead_lag(omega_d, omega_t))
     parts.append(first_order_lag(omega_f))
-    params = dict(omega_c=omega_c, omega_i=omega_i, a=a, omega_d=omega_d,
-                  omega_t=omega_t, omega_f=omega_f)
-    return ControllerSpec("pid", "pid", tuple(parts), None, 1.0, params)
+    return ControllerSpec("pid", "pid", tuple(parts), None, 1.0, omega_c)
 
 
 @dataclass(frozen=True)
@@ -455,19 +453,13 @@ CLOC_LADDERS_HZ = {
 def build_cglp_pid(omega_c, a, omega_i, omega_f, omega_r, omega_r_alpha,
                    gamma) -> ControllerSpec:
     """First-order-reset constant-gain-lead design plus a linear lead: the
-    reset stage cannot deliver all the phase on its own, so a lead filter
-    tops it up."""
-    if a < 1.0:
-        raise ValueError("lead ratio a must be >= 1")
+    reset stage cannot deliver all the phase on its own, so the pid's lead
+    tops it up.  The stage's lead takes the place of the pid's low-pass."""
+    pid = build_pid(omega_c, a, omega_i, omega_f)
     stage = build_cglp(1, omega_r, omega_r_alpha, 1.0, omega_f, gamma)
-    omega_d, omega_t = omega_c / a, a * omega_c
-    if not (omega_i < omega_d <= omega_t < omega_f):
-        raise ValueError("lead ordering violated")
-    parts = (pi_stage(omega_i), lead_lag(omega_d, omega_t), stage.lead)
-    params = dict(omega_c=omega_c, omega_i=omega_i, a=a, omega_d=omega_d,
-                  omega_t=omega_t, omega_f=omega_f, omega_r=omega_r,
-                  omega_r_alpha=omega_r_alpha, gamma=(float(gamma),))
-    return ControllerSpec("cglp-pid", "cglp-pid", parts, stage.reset_part, 1.0, params)
+    parts = (*pid.linear_parts[:-1], stage.lead)
+    return ControllerSpec("cglp-pid", "cglp-pid", parts, stage.reset_part, 1.0,
+                          omega_c)
 
 
 def build_cglp_pi(omega_c, omega_i, omega_f, omega_r, omega_r_alpha, beta_r,
@@ -477,23 +469,20 @@ def build_cglp_pi(omega_c, omega_i, omega_f, omega_r, omega_r_alpha, beta_r,
     to a = 1)."""
     stage = build_cglp(2, omega_r, omega_r_alpha, beta_r, omega_f, gamma)
     parts = (pi_stage(omega_i), stage.lead)
-    params = dict(omega_c=omega_c, omega_i=omega_i, a=1.0, omega_f=omega_f,
-                  omega_r=omega_r, omega_r_alpha=omega_r_alpha, beta_r=beta_r,
-                  gamma=(float(gamma),) * 2)
-    return ControllerSpec("cglp-pi", "cglp-pi", parts, stage.reset_part, 1.0, params)
+    return ControllerSpec("cglp-pi", "cglp-pi", parts, stage.reset_part, 1.0,
+                          omega_c)
 
 
-def build_cloc_from(poles, zeros, gamma, omega_i, omega_f, omega_c,
-                    omega_l=None, omega_h=None,
+def build_cloc_from(poles, zeros, gamma, omega_i, omega_f, omega_c, omega_h=None,
                     taming_factor=DEFAULT_TAMING_FACTOR) -> ControllerSpec:
     """Complex-order controller from explicit ladder frequencies: the
     resetting ladder in series with the PI stage and the noise low-pass,
-    no linear lead.  The ladder gain is normalized so the no-reset limit
-    of the whole controller path has unit gain at crossover, leaving kp as
-    the single loop-gain knob."""
+    no linear lead.  The taming poles sit at taming_factor * omega_h
+    (omega_h defaults to the top zero).  The ladder gain is normalized so
+    the no-reset limit of the whole controller path has unit gain at
+    crossover, leaving kp as the single loop-gain knob."""
     crone = CroneApprox(tuple(zeros), tuple(poles), 1.0)
-    top = float(omega_h) if omega_h is not None else max(zeros)
-    filt = split_reset(crone, gamma, taming_factor, omega_h=top)
+    filt = split_reset(crone, gamma, taming_factor, omega_h)
     lpf = first_order_lag(omega_f)
     pi = pi_stage(omega_i)
     lin_ladder = describing_function(filt.c_r.with_gamma(np.ones(crone.n_pairs)),
@@ -502,17 +491,7 @@ def build_cloc_from(poles, zeros, gamma, omega_i, omega_f, omega_c,
                       * lpf(1j * omega_c))
     gain = 1.0 / linear_path
     parts = (pi, filt.c_nr.scaled(gain), lpf)
-    params = dict(omega_c=float(omega_c), omega_i=float(omega_i),
-                  omega_f=float(omega_f),
-                  poles=tuple(float(p) for p in poles),
-                  zeros=tuple(float(z) for z in zeros),
-                  gamma=tuple(float(g) for g in gamma),
-                  taming_factor=float(taming_factor), filter_gain=gain)
-    if omega_l is not None:
-        params["omega_l"] = float(omega_l)
-    if omega_h is not None:
-        params["omega_h"] = float(omega_h)
-    return ControllerSpec("cloc", "cloc", parts, filt.c_r, 1.0, params)
+    return ControllerSpec("cloc", "cloc", parts, filt.c_r, 1.0, float(omega_c))
 
 
 def normalize_open_loop_gain(spec: ControllerSpec, plant, omega_c) -> float:
@@ -536,6 +515,6 @@ def build_benchmark_suite(plant=None):
     table = _builtin_specs()
     specs = {name: build_controller(table[name]) for name in SUITE}
     if plant is not None:
-        specs = {k: v.with_kp(normalize_open_loop_gain(v, plant, v.params["omega_c"]))
+        specs = {k: v.with_kp(normalize_open_loop_gain(v, plant, v.omega_c))
                  for k, v in specs.items()}
     return specs

@@ -124,7 +124,7 @@ def test_criterion_03_linear_limit():
         ptf = random_stable_tf(rng, 3, strictly_proper=True,
                                pole_range=(0.5, 30.0))
         spec = ControllerSpec("custom", "rand",
-                              (TransferFunction((1.0,), (1.0,)),), rs, 0.2, {})
+                              (TransferFunction((1.0,), (1.0,)),), rs, 0.2, None)
         plant_ss = tf_to_ss(ptf)
         hyb = simulate_closed_loop(plant_ss, spec, traj, cfg)
         lin = simulate_linear_closed_loop(plant_ss, spec, traj, cfg)

@@ -59,13 +59,13 @@ def _exercise(tmp):
     plant = lti.stage_plant()
     suite = synthesis.build_benchmark_suite(plant)
     pid = suite["pid"]
-    synthesis.normalize_open_loop_gain(pid, plant, pid.params["omega_c"])
+    synthesis.normalize_open_loop_gain(pid, plant, pid.omega_c)
     view = analysis.open_loop_view(suite["cglp-pid"], plant, grid)
     analysis.save_open_loop_csv(view, tmp / "ol.csv")
     analysis.save_normalized_third_csv(view, tmp / "third.csv")
 
     traj = sim.generate_trajectory("step", 3e-6, 0.01)
-    ff = sim.make_feedforward(plant, 100.0 * pid.params["omega_c"])
+    ff = sim.make_feedforward(plant, 100.0 * pid.omega_c)
     res = sim.simulate_closed_loop(lti.tf_to_ss(plant), pid, traj,
                                    sim.SimConfig(), feedforward=ff)
     sim.save_sim_csv(res, tmp / "sim.csv")

@@ -157,6 +157,35 @@ def test_reproduce_with_frf_plant(tmp_path):
     assert "crossover 15" in pm  # still lands at ~150 Hz on the frf
 
 
+@pytest.mark.parametrize("with_plant, calls", [(False, 5), (True, 10)])
+def test_reproduce_normalizes_each_design_once_per_plant(tmp_path, monkeypatch,
+                                                         with_plant, calls):
+    import resetloop.cli
+    import resetloop.synthesis
+    from resetloop.lti import freq_response, log_grid, save_frf, stage_plant
+    from resetloop.sim import SimulationDiverged
+
+    normalize, seen = resetloop.synthesis.normalize_open_loop_gain, []
+
+    def counting(*args):
+        seen.append(args)
+        return normalize(*args)
+
+    def diverge(*args, **kwargs):   # the runs themselves do not matter here
+        raise SimulationDiverged("not simulated", time=0.0)
+
+    for module in (resetloop.synthesis, resetloop.cli):
+        monkeypatch.setattr(module, "normalize_open_loop_gain", counting)
+    monkeypatch.setattr(resetloop.cli, "simulate_closed_loop", diverge)
+    argv = ["reproduce", "--out", str(tmp_path / "rep")]
+    if with_plant:
+        frf_path = tmp_path / "plant.csv"
+        save_frf(freq_response(stage_plant(), log_grid(0.5, 2000.0, 30)), frf_path)
+        argv += ["--plant", str(frf_path)]
+    assert main(argv) == 0
+    assert len(seen) == calls
+
+
 def test_simulate_rejects_plant_option(tmp_path):
     scen = tmp_path / "s.spec"
     scen.write_text("controller = pid\nreference = step3um\n")

@@ -214,23 +214,6 @@ def test_frequency_response_validation():
         FrequencyResponse(np.array([-1.0, 1.0]), np.array([1 + 0j, 1 + 0j]))
 
 
-def test_second_order_lag_corner():
-    from resetloop.lti import second_order_lag
-
-    w0 = hz(5.0)
-    tf = second_order_lag(w0, 0.7)
-    v = tf(1j * w0)
-    assert abs(v) == pytest.approx(1 / 1.4, rel=1e-12)   # |1/(2j*zeta)|
-    assert np.degrees(np.angle(v)) == pytest.approx(-90.0)
-
-
-def test_integrator_helper():
-    from resetloop.lti import integrator
-
-    tf = integrator()
-    assert tf(1j * 2.0) == pytest.approx(-0.5j)
-
-
 def test_plant_values_agree_across_plant_forms():
     plant = stage_plant()
     grid = log_grid(1.0, 1000.0, 10)

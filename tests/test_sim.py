@@ -205,6 +205,49 @@ def test_feedforward_open_loop_tracking_with_switches_on_samples(plant):
     assert _open_loop_tracking_error(plant, 0.093) < 0.01 * 100e-6
 
 
+def _held_reference_drive(ff, traj, dt):
+    """The feedforward filter driven by the sampled reference, held over
+    each sample."""
+    from resetloop.sim import _discretize
+
+    ffss = tf_to_ss(ff)
+    Ad, Bd = _discretize(ffss, dt)
+    u, x = np.empty(traj.t.size), np.zeros(ffss.order)
+    for k, r in enumerate(traj.r):
+        u[k] = float(ffss.C[0] @ x) + ffss.D * r
+        x = Ad @ x + Bd * r
+    return u
+
+
+def test_step_feedforward_matches_the_held_reference_drive(plant, monkeypatch):
+    # a step drives the scan's exact chain at zero snap, which must agree
+    # with holding the step itself: on the signal and on the pid step3um run
+    from resetloop.sim import feedforward_signal
+
+    spec = _pid_spec(plant)
+    ff = make_feedforward(plant, 100.0 * spec.omega_c)
+    traj = generate_trajectory("step", 3e-6, 0.5)
+    held = _held_reference_drive(ff, traj, 1e-4)
+    got = feedforward_signal(ff, traj, 1e-4)
+    assert np.max(np.abs(got - held)) <= 1e-12 * np.max(np.abs(held))
+    runs = []
+    for drive in (feedforward_signal, _held_reference_drive):
+        monkeypatch.setattr(resetloop.sim, "feedforward_signal", drive)
+        runs.append(simulate_closed_loop(tf_to_ss(plant), spec, traj, SimConfig(),
+                                         feedforward=ff))
+    for a, b in ((runs[0].u, runs[1].u), (runs[0].y, runs[1].y)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_feedforward_rejects_a_trajectory_it_cannot_drive(plant):
+    from resetloop.sim import Trajectory, feedforward_signal
+
+    t = np.arange(100) * 1e-4
+    traj = Trajectory("sinusoid", t, 1e-6 * np.sin(2 * np.pi * 10.0 * t))
+    with pytest.raises(ValueError, match="sinusoid"):
+        feedforward_signal(make_feedforward(plant, hz(15000.0)), traj, 1e-4)
+
+
 # --- harmonic oracle ---------------------------------------------------------
 
 def test_oracle_reproduces_clegg_closed_forms():
@@ -409,7 +452,7 @@ def test_reset_fires_twice_per_period_in_steady_sinusoid(plant):
     # nearly open loop (tiny plant gain) so the error tracks the sinusoid
     tiny = TransferFunction((1e-9,), (1.0 / (2 * np.pi * 5000.0), 1.0))
     spec = ControllerSpec("pid", "fore-loop", (pi_stage(hz(15.0)),),
-                          fore(hz(20.0), 0.0), 1.0, {})
+                          fore(hz(20.0), 0.0), 1.0, None)
     f0 = 10.0
     # stretch to 10 cycles
     t = np.arange(0, 1.0, 1e-4)
@@ -457,7 +500,7 @@ def test_hybrid_matches_monolithic_linear_path_randomized():
         n_r = int(rng.integers(1, ss.order + 1))
         spec = ControllerSpec("custom", "rand",
                               (TransferFunction((1.0,), (1.0,)),),
-                              ResetSystem(ss, n_r, np.ones(n_r)), 0.3, {})
+                              ResetSystem(ss, n_r, np.ones(n_r)), 0.3, None)
         plant_ss = tf_to_ss(plant_tf)
         hyb = simulate_closed_loop(plant_ss, spec, traj, cfg)
         lin = simulate_linear_closed_loop(plant_ss, spec, traj, cfg)

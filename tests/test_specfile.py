@@ -89,7 +89,7 @@ def test_built_controller_matches_factory():
 
     def cloc(poles, zeros, gamma, band):
         return build_cloc_from(hz(np.array(poles)), hz(np.array(zeros)), gamma,
-                               wi, wf, wc, hz(band[0]), hz(band[1]))
+                               wi, wf, wc, omega_h=hz(band[1]))
 
     factory = {
         "pid": build_pid(wc, 9.13, wi, wf),
@@ -130,7 +130,7 @@ def test_build_reset_element_kinds():
 def test_reset_element_specs_are_not_loop_controllers():
     for name in ("clegg", "fore", "sore"):
         spec = build_controller(_builtin_specs()[name])
-        assert spec.linear_parts == () and "omega_c" not in spec.params
+        assert spec.linear_parts == () and spec.omega_c is None
         assert spec.label == name and spec.kp == 1.0
 
 
@@ -271,5 +271,6 @@ def test_suite_and_a_builtin_load_share_one_root_find(monkeypatch):
     resetloop.specfile.matched_sore_gamma.cache_clear()
     suite = build_benchmark_suite(stage_plant())
     assert list(suite) == list(SUITE)
-    assert _load_spec("cglp-pi")["gamma"] == suite["cglp-pi"].params["gamma"][:1]
+    gamma = suite["cglp-pi"].reset_part.gamma
+    assert _load_spec("cglp-pi")["gamma"] == (gamma[0],)
     assert len(calls) == 1

@@ -25,6 +25,7 @@ from resetloop.synthesis import (
     fit_band,
     normalize_open_loop_gain,
     order_to_slopes,
+    pi_stage,
     slope_estimate,
     split_reset,
     tune_arho,
@@ -277,28 +278,37 @@ def test_tuner_rejects_bad_inputs(small_skeleton):
 
 # --- controller factories ----------------------------------------------------
 
+def _lead_corners(spec):
+    """(omega_d, omega_t) of a pid's lead, (s/omega_d + 1)/(s/omega_t + 1)."""
+    lead = spec.linear_parts[1]
+    assert lead.num[1] == lead.den[1] == 1.0
+    return 1.0 / lead.num[0], 1.0 / lead.den[0]
+
+
 def test_build_pid_published_corners():
-    spec = build_pid(hz(150.0), 9.13, hz(15.0), hz(1500.0))
-    assert to_hz(spec.params["omega_d"]) == pytest.approx(16.43, rel=5e-4)
-    assert to_hz(spec.params["omega_t"]) == pytest.approx(1369.3, rel=5e-4)
+    omega_d, omega_t = _lead_corners(build_pid(hz(150.0), 9.13, hz(15.0), hz(1500.0)))
+    assert to_hz(omega_d) == pytest.approx(16.43, rel=5e-4)
+    assert to_hz(omega_t) == pytest.approx(1369.3, rel=5e-4)
 
 
 def test_build_pid_cglp_variant_corners():
-    spec = build_pid(hz(150.0), 2.193, hz(15.0), hz(1500.0))
-    assert to_hz(spec.params["omega_d"]) == pytest.approx(68.4, rel=5e-4)
-    assert to_hz(spec.params["omega_t"]) == pytest.approx(328.8, rel=5e-4)
+    omega_d, omega_t = _lead_corners(build_pid(hz(150.0), 2.193, hz(15.0), hz(1500.0)))
+    assert to_hz(omega_d) == pytest.approx(68.4, rel=5e-4)
+    assert to_hz(omega_t) == pytest.approx(328.8, rel=5e-4)
 
 
 def test_build_pid_unity_ratio_drops_lead():
     spec = build_pid(hz(150.0), 1.0, hz(15.0), hz(1500.0))
-    assert spec.params["omega_d"] == spec.params["omega_t"] == spec.params["omega_c"]
-    assert len(spec.linear_parts) == 2  # integrator branch + low-pass only
+    assert spec.omega_c == hz(150.0)
+    # integrator branch + low-pass only: the unit lead at omega_c is dropped
+    assert spec.linear_parts == (pi_stage(hz(15.0)), first_order_lag(hz(1500.0)))
 
 
 def test_build_pid_corner_symmetry():
     spec = build_pid(hz(150.0), 4.0, hz(15.0), hz(1500.0))
-    assert spec.params["omega_d"] * spec.params["omega_t"] == pytest.approx(
-        spec.params["omega_c"] ** 2, rel=1e-12)
+    omega_d, omega_t = _lead_corners(spec)
+    assert spec.omega_c == hz(150.0)
+    assert omega_d * omega_t == pytest.approx(spec.omega_c ** 2, rel=1e-12)
 
 
 def test_build_pid_rejects_bad_ordering():
@@ -348,10 +358,15 @@ def test_build_cglp_rejects_bad_ordering():
 def test_build_cloc_uses_published_values(suite, variant):
     spec = suite[f"cloc-{variant}"]
     poles_hz, zeros_hz, gamma, _ = ladder_hz(variant)
-    assert to_hz(np.array(spec.params["poles"])) == pytest.approx(np.array(poles_hz))
-    assert to_hz(np.array(spec.params["zeros"])) == pytest.approx(np.array(zeros_hz))
-    assert spec.params["gamma"] == pytest.approx(gamma)
+    # the resetting lag chain has its poles on the diagonal; the ladder's
+    # zeros are the roots of the linear zero block
+    poles = -np.diag(spec.reset_part.base.A)
+    zeros = np.sort(-np.roots(spec.linear_parts[1].num).real)
+    assert to_hz(poles) == pytest.approx(np.array(poles_hz))
+    assert to_hz(zeros) == pytest.approx(np.array(zeros_hz))
+    assert spec.reset_part.gamma == pytest.approx(gamma)
     assert spec.reset_part.n_r == 3
+    assert spec.omega_c == hz(150.0)
 
 
 def test_cloc_forced_linear_still_crosses_over(plant):
