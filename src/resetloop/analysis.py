@@ -43,8 +43,6 @@ class OpenLoopView:
     grid: np.ndarray
     first_harmonic: np.ndarray
     third_harmonic: np.ndarray
-    controller: str
-    plant_source: str
     n_integrators: int = 1
 
 
@@ -55,13 +53,10 @@ def open_loop_view(controller: ControllerSpec, plant, grid=None) -> OpenLoopView
         else:
             grid = log_grid(1.0, 2000.0)
     grid = np.asarray(grid, dtype=float)
-    source = "frf-file" if isinstance(plant, FrequencyResponse) else "model"
     return OpenLoopView(
         grid=grid,
         first_harmonic=open_loop(controller, plant, grid, 1),
         third_harmonic=open_loop(controller, plant, grid, 3),
-        controller=controller.label,
-        plant_source=source,
         n_integrators=controller.n_integrators,
     )
 

@@ -75,11 +75,8 @@ from .synthesis import (
 
 
 def _load_spec(name_or_path) -> dict:
-    # the names do not depend on the matched gamma, so a spec file never
-    # pays for its root-find
-    if name_or_path in _builtin_specs(matched_gamma=0.0):
-        return dict(_builtin_specs()[name_or_path])
-    return parse_spec(name_or_path)
+    builtin = _builtin_specs().get(name_or_path)
+    return parse_spec(name_or_path) if builtin is None else builtin
 
 
 def _linear_values(d, grid):

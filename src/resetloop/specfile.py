@@ -12,15 +12,14 @@ cglp-pid, cglp-pi, cloc).  The spec dict stays the one description of a
 design: the ControllerSpec keeps only the built stages and the crossover.
 
 The stock designs are defined here once: ``_builtin_specs`` is the table of
-the ten builtin specs and ``SUITE`` names the five the paper compares.
+the ten builtin specs, every number a stock constant of synthesis (the
+matched reset factor of cglp-pi and cglp-sore included), and ``SUITE``
+names the five the paper compares.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from scipy.optimize import brentq
 
 from .lti import hz
 from .reset import clegg, fore, sore
@@ -34,6 +33,7 @@ from .synthesis import (
     ControllerSpec,
     DEFAULT_TAMING_FACTOR,
     GFORE_GAMMA,
+    GSORE_GAMMA,
     INTEGRATOR_HZ,
     LOWPASS_HZ,
     PID_LEAD_RATIO,
@@ -42,7 +42,6 @@ from .synthesis import (
     build_cglp_pid,
     build_cloc_from,
     build_pid,
-    controller_harmonic,
 )
 
 
@@ -220,11 +219,9 @@ def build_controller(d: dict) -> ControllerSpec:
 SUITE = ("pid", "cglp-pid", "cglp-pi", "cloc-1", "cloc-2")
 
 
-def _builtin_specs(matched_gamma=None):
+def _builtin_specs():
     """The builtin spec dicts, every number taken from the stock design
-    constants in synthesis.  A given `matched_gamma` stands in for the
-    root-find of `matched_sore_gamma`."""
-    gs = matched_sore_gamma() if matched_gamma is None else matched_gamma
+    constants in synthesis."""
     common = dict(omega_c_hz=CROSSOVER_HZ, omega_i_hz=INTEGRATOR_HZ,
                   omega_f_hz=LOWPASS_HZ, kp=1.0)
     fore_hz, sore_hz = CGLP_FORE_HZ, CGLP_SORE_HZ
@@ -240,7 +237,7 @@ def _builtin_specs(matched_gamma=None):
         "cglp-sore": dict(kind="cglp", label="cglp-sore", filter_order=2.0,
                           omega_r_hz=sore_hz[0], omega_r_alpha_hz=sore_hz[1],
                           beta_r=CGLP_SORE_DAMPING, omega_f_hz=LOWPASS_HZ,
-                          gamma=(gs,), kp=1.0),
+                          gamma=(GSORE_GAMMA,), kp=1.0),
         "pid": dict(kind="pid", label="pid", a=PID_LEAD_RATIO, **common),
         "cglp-pid": dict(kind="cglp-pid", label="cglp-pid",
                          a=CGLP_PID_LEAD_RATIO, omega_r_hz=fore_hz[0],
@@ -248,7 +245,7 @@ def _builtin_specs(matched_gamma=None):
                          **common),
         "cglp-pi": dict(kind="cglp-pi", label="cglp-pi", omega_r_hz=sore_hz[0],
                         omega_r_alpha_hz=sore_hz[1], beta_r=CGLP_SORE_DAMPING,
-                        gamma=(gs,), **common),
+                        gamma=(GSORE_GAMMA,), **common),
         **{f"cloc-{v}": dict(kind="cloc", label=f"cloc-{v}",
                              poles_hz=ladder["poles"], zeros_hz=ladder["zeros"],
                              gamma=ladder["gamma"], omega_l_hz=ladder["band"][0],
@@ -257,21 +254,3 @@ def _builtin_specs(matched_gamma=None):
            for v, ladder in CLOC_LADDERS_HZ.items()},
     }
 
-
-@lru_cache(maxsize=1)
-def matched_sore_gamma() -> float:
-    """Reset factor of the builtin cglp-pi, chosen so its controller phase
-    at crossover equals the builtin pid's.
-
-    The five stock designs deliver the same phase at omega_c by different
-    means; for this one the reset depth is the free knob, solved here by
-    bisection (the phase is monotone in gamma over [-1, 1])."""
-    def phase_deg(d):   # controller phase at the design's crossover
-        c = build_controller(d)
-        return np.degrees(np.angle(controller_harmonic(c, [c.omega_c])[0]))
-
-    table = _builtin_specs(matched_gamma=0.0)
-    reference = phase_deg(table["pid"])
-    return float(brentq(
-        lambda g: phase_deg(dict(table["cglp-pi"], gamma=(float(g),))) - reference,
-        -0.999, 0.999, xtol=1e-10))

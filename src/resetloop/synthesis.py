@@ -351,11 +351,11 @@ def controller_harmonic(spec: ControllerSpec, grid, n=1) -> np.ndarray:
     excitation frequency times the linear stages evaluated at n * omega.
     Controllers without a reset element have exact zeros above n = 1."""
     grid = np.asarray(grid, dtype=float)
+    if spec.reset_part is None and n > 1:
+        return np.zeros(grid.shape, dtype=complex)
     lin = spec.linear_tf()(1j * n * grid)
     if spec.reset_part is None:
-        if n == 1:
-            return spec.kp * lin
-        return np.zeros(grid.shape, dtype=complex)
+        return spec.kp * lin
     if n == 1:
         res = describing_function(spec.reset_part, grid).values
     else:
@@ -441,6 +441,9 @@ CGLP_FORE_HZ = (50.0, 35.7)          # lead zero, reset-lag corner
 CGLP_SORE_HZ = (78.9, 68.6138)
 CGLP_SORE_DAMPING = 1.0
 GFORE_GAMMA = 0.0
+# makes cglp-pi's controller phase at crossover equal pid's (a brentq root
+# over gamma in (-0.999, 0.999) at xtol 1e-10; a test re-derives it)
+GSORE_GAMMA = -0.06357417997872634
 
 CLOC_LADDERS_HZ = {
     1: dict(poles=(16.5, 76.6, 355.5), zeros=(35.55, 165.0, 766.0),

@@ -56,13 +56,9 @@ def test_crossover_pm_pure_integrator_loop():
     loop = TransferFunction((w0,), (1.0, 0.0))
     grid = log_grid(0.1, 1000.0, 40)
 
-    class View:
-        pass
-
     from resetloop.analysis import OpenLoopView
 
-    view = OpenLoopView(grid, loop(1j * grid), np.zeros(grid.size, complex),
-                        "integrator", "model", 1)
+    view = OpenLoopView(grid, loop(1j * grid), np.zeros(grid.size, complex), 1)
     wc, pm = crossover_pm(view)
     assert wc == pytest.approx(w0, rel=1e-4)
     assert pm == pytest.approx(90.0, abs=0.01)
@@ -83,7 +79,7 @@ def test_crossover_requires_a_crossing():
     from resetloop.analysis import OpenLoopView
 
     view = OpenLoopView(grid, np.full(grid.size, 0.5 + 0j),
-                        np.zeros(grid.size, complex), "flat", "model", 0)
+                        np.zeros(grid.size, complex), 0)
     with pytest.raises(ValueError, match="crosses"):
         crossover_pm(view)
 
@@ -94,7 +90,7 @@ def test_multiple_crossings_warn():
     from resetloop.analysis import OpenLoopView
 
     view = OpenLoopView(grid, mags * np.exp(-1j * np.radians(100.0)),
-                        np.zeros(5, complex), "wiggle", "model", 0)
+                        np.zeros(5, complex), 0)
     with pytest.warns(UserWarning, match="crossings"):
         wc, _ = crossover_pm(view)
     assert wc < 2.0
@@ -122,7 +118,7 @@ def test_normalized_third_guards_tiny_first_harmonic():
     third = np.array([0.1, 0.1, 0.1], dtype=complex)
     from resetloop.analysis import OpenLoopView
 
-    view = OpenLoopView(grid, first, third, "x", "model", 0)
+    view = OpenLoopView(grid, first, third, 0)
     omega, ratio = normalized_third(view)
     assert omega.tolist() == [1.0, 3.0]
 

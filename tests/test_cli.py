@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import io
+import os
 import pathlib
-
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import resetloop.specfile
+import resetloop
 from resetloop.cli import main
 from resetloop.specfile import _builtin_specs, emit_spec
 
@@ -283,16 +285,28 @@ def test_reproduce_rejects_fuzzed_frf_files(tmp_path_factory, data):
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
-def test_spec_file_skips_the_matched_gamma_root_find(tmp_path, monkeypatch):
-    spec = tmp_path / "cloc.spec"
-    emit_spec(_builtin_specs()["cloc-1"], spec)
-
-    def root_find(*args, **kwargs):
-        raise AssertionError("matched_sore_gamma ran for a spec file")
-
-    monkeypatch.setattr(resetloop.specfile, "matched_sore_gamma", root_find)
-    assert main(["df", str(spec), "--fmin-hz", "10", "--fmax-hz", "1000",
-                 "--points-per-decade", "5", "--out", str(tmp_path / "o")]) == 0
+def test_cold_start_does_not_import_scipy_optimize(tmp_path):
+    # the builtin table holds the matched gamma as a literal, so neither
+    # set-up nor a builtin's df needs scipy's root-finders
+    code = "\n".join([
+        "import sys",
+        "import resetloop.cli",
+        "from resetloop.lti import stage_plant",
+        "from resetloop.synthesis import build_benchmark_suite",
+        "build_benchmark_suite(stage_plant())",
+        f"rc = resetloop.cli.main(['df', 'cglp-pi', '--fmin-hz', '10', "
+        f"'--fmax-hz', '1000', '--points-per-decade', '5', '--out', "
+        f"{str(tmp_path / 'df')!r}])",
+        "assert rc == 0, rc",
+        "assert 'scipy.optimize' not in sys.modules",
+    ])
+    src = str(pathlib.Path(resetloop.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "df" / "harmonic_01.csv").is_file()
 
 
 def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):

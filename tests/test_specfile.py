@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import resetloop.specfile
-from resetloop.cli import _load_spec
-from resetloop.lti import hz, stage_plant
+from resetloop.lti import hz
 from resetloop.specfile import (
-    SUITE,
     _builtin_specs,
     build_controller,
     emit_spec,
@@ -252,25 +249,9 @@ def test_parse_emit_parse_is_a_fixed_point(tmp_path_factory, d):
     assert _bits(parse_spec(path)) == _bits(first)
 
 
-@pytest.mark.parametrize("name", sorted(_builtin_specs(matched_gamma=0.0)))
+@pytest.mark.parametrize("name", sorted(_builtin_specs()))
 def test_every_builtin_survives_emit_and_parse(tmp_path, name):
     d = _builtin_specs()[name]
     emit_spec(d, tmp_path / "b.spec")
     assert parse_spec(tmp_path / "b.spec") == d
 
-
-def test_suite_and_a_builtin_load_share_one_root_find(monkeypatch):
-    calls = []
-
-    def counting_brentq(*args, **kwargs):
-        calls.append(args)
-        return brentq(*args, **kwargs)
-
-    brentq = resetloop.specfile.brentq
-    monkeypatch.setattr(resetloop.specfile, "brentq", counting_brentq)
-    resetloop.specfile.matched_sore_gamma.cache_clear()
-    suite = build_benchmark_suite(stage_plant())
-    assert list(suite) == list(SUITE)
-    gamma = suite["cglp-pi"].reset_part.gamma
-    assert _load_spec("cglp-pi")["gamma"] == (gamma[0],)
-    assert len(calls) == 1

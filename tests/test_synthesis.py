@@ -14,6 +14,7 @@ from resetloop.synthesis import (
     ApproxBand,
     CLOC_LADDERS_HZ,
     ComplexOrder,
+    GSORE_GAMMA,
     CroneApprox,
     PHASE_SLOPE_PER_BETA,
     build_cglp,
@@ -31,7 +32,7 @@ from resetloop.synthesis import (
     tune_arho,
     _refine_axis,
 )
-from resetloop.specfile import matched_sore_gamma
+from resetloop.specfile import _builtin_specs, build_controller
 
 TABLE_SIGFIG_RTOL = 5e-4   # agreement at the third significant digit
 
@@ -414,9 +415,22 @@ def test_pid_loop_gain_regression(plant):
 
 
 def test_matched_sore_gamma_regression():
-    # frozen: the reset depth that phase-matches the pid benchmark at
-    # crossover with unit damping
-    assert matched_sore_gamma() == pytest.approx(-0.0635741799787, abs=1e-9)
+    # the literal is the reset depth that phase-matches the builtin pid at
+    # crossover: re-derive it by bisection from the builtin table
+    from scipy.optimize import brentq
+
+    def phase_deg(d):   # controller phase at the design's crossover
+        c = build_controller(d)
+        return np.degrees(np.angle(controller_harmonic(c, [c.omega_c])[0]))
+
+    table = _builtin_specs()
+    reference = phase_deg(table["pid"])
+    gamma = brentq(
+        lambda g: phase_deg(dict(table["cglp-pi"], gamma=(float(g),))) - reference,
+        -0.999, 0.999, xtol=1e-10)
+    assert float(gamma) == GSORE_GAMMA == -0.06357417997872634
+    assert table["cglp-pi"]["gamma"] == (GSORE_GAMMA,)
+    assert table["cglp-sore"]["gamma"] == (GSORE_GAMMA,)
 
 
 def test_suite_has_five_designs(suite):
