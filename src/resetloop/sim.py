@@ -13,8 +13,10 @@ of the reset instant to the grid and the sensor model itself.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg import expm
@@ -130,15 +132,17 @@ def generate_trajectory(kind, distance, duration, dt=1e-4, hold=0.0) -> Trajecto
         r = np.full(t.shape, float(distance))
         return Trajectory(kind, t, r, float(distance), float(duration))
     tau, unit, snap = _scan_profile(distance, duration)
-    r = np.empty(t.shape)
-    for i, ti in enumerate(t):
-        seg = min(int(ti / tau), len(_SNAP_PATTERN) - 1)
-        j, a, v, x = (snap * q for q in unit[seg])
-        s = snap * _SNAP_PATTERN[seg]
-        d = ti - seg * tau
-        r[i] = x + v * d + a * d**2 / 2 + j * d**3 / 6 + s * d**4 / 24
-    # clamp the tail exactly on the commanded endpoint
-    r[t >= duration] = snap * unit[-1][3]
+    # the tail is clamped exactly on the commanded endpoint
+    r = np.full(t.shape, snap * unit[-1][3])
+    tm = t[t < duration]
+    seg = np.minimum((tm / tau).astype(int), len(_SNAP_PATTERN) - 1)
+    j, a, v, x = (snap * np.array(unit)[seg]).T
+    s = snap * np.array(_SNAP_PATTERN, dtype=float)[seg]
+    d = tm - seg * tau
+    # libm pow, as a scalar d**p takes it (numpy's power rounds apart)
+    d2, d3, d4 = (np.fromiter(map(math.pow, memoryview(d), repeat(p)), float,
+                              d.size) for p in (2, 3, 4))
+    r[:tm.size] = x + v * d + a * d2 / 2 + j * d3 / 6 + s * d4 / 24
     return Trajectory(kind, t, r, float(distance), float(duration), abs(snap))
 
 
@@ -192,7 +196,7 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
         # there so the reference chain is exact and never needs a
         # discontinuous correction
         boundaries = [i * tau for i in range(1, len(_SNAP_PATTERN) + 1)]
-    # states: [x_ff, r, v, a, j], input: snap
+    # states: [x_ff, r, v, a, j], then the held snap input
     m = n + 4
     M = np.zeros((m + 1, m + 1))
     M[:n, :n] = ffss.A
@@ -202,34 +206,58 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
     M[n + 2, n + 3] = 1.0            # a' = j
     M[n + 3, m] = 1.0                # j' = snap (held input)
     Phi = expm(M * dt)
-    Ad, Bd = Phi[:m, :m], Phi[:m, m]
 
     def snap_at(t):
         if t >= traj.duration:
             return 0.0
         return snap * _SNAP_PATTERN[min(int(t / tau), 14)]
 
-    z = np.zeros(m)
+    def flow(z, t0, h):
+        """z advanced by h from t0 at the snap level of t0."""
+        if h <= 1e-15:
+            return z
+        z[m] = snap_at(t0)
+        return (Phi if h >= dt * (1 - 1e-12) else expm(M * h)) @ z
+
+    # Each sample takes one full step at the snap level of its instant,
+    # except a step that crosses a switch (or falls short of dt), which is
+    # split and stepped alone.  A run of full steps at one level is one
+    # block: row j of `rows` is c Phi^j, so the run's outputs are rows @ z.
+    t = traj.t
+    split = (t + dt) - t < dt * (1 - 1e-12)
+    crossing = np.searchsorted(t + dt - 1e-15, boundaries, side="right")
+    split[crossing[crossing < K]] = True
+    level = np.zeros(K)
+    live = t < traj.duration
+    level[live] = snap * np.array(_SNAP_PATTERN, dtype=float)[
+        np.minimum((t[live] / tau).astype(int), 14)]
+    cuts = np.flatnonzero(split[1:] | split[:-1] | (level[1:] != level[:-1]))
+    edges = [0, *(cuts + 1).tolist(), K]
+    rows = np.zeros((max(np.diff(edges)), m + 1))
+    rows[0, :n], rows[0, n] = ffss.C[0], ffss.D
+    P, filled = Phi, 1
+    while filled < len(rows):
+        take = min(filled, len(rows) - filled)
+        rows[filled:filled + take] = rows[:take] @ P
+        P, filled = P @ P, filled + take
+
+    z = np.zeros(m + 1)
     z[n] = traj.r[0]
     u = np.empty(K)
     b = 0
-    for k in range(K):
-        u[k] = float(ffss.C[0] @ z[:n]) + ffss.D * z[n]
-        t0 = traj.t[k]
+    for k, k1 in zip(edges[:-1], edges[1:]):
+        z[m] = level[k]
+        u[k:k1] = rows[:k1 - k] @ z
+        if not split[k]:
+            z = np.linalg.matrix_power(Phi, k1 - k) @ z
+            continue
+        t0 = t[k]
         t1 = t0 + dt
         while b < len(boundaries) and boundaries[b] < t1 - 1e-15:
-            frac = boundaries[b] - t0
-            if frac > 1e-15:
-                P = expm(M * frac)
-                z = P[:m, :m] @ z + P[:m, m] * snap_at(t0)
+            z = flow(z, t0, boundaries[b] - t0)
             t0 = boundaries[b]
             b += 1
-        if t1 - t0 > 1e-15:
-            if t1 - t0 >= dt * (1 - 1e-12):
-                z = Ad @ z + Bd * snap_at(t0)
-            else:
-                P = expm(M * (t1 - t0))
-                z = P[:m, :m] @ z + P[:m, m] * snap_at(t0)
+        z = flow(z, t0, t1 - t0)
     return u
 
 
@@ -295,14 +323,20 @@ def simulate_closed_loop(plant: StateSpace, controller: ControllerSpec,
     """
     rs, Ac, Bc, Ap, Bp, u_ff = _sampled_loop(plant, controller, traj, cfg,
                                              feedforward)
-    Cc, Dc = rs.base.C[0], rs.base.D
-    Cp = plant.C[0]
+    Cc, Dc = rs.base.C[0], float(rs.base.D)
     t = traj.t
-    r = traj.r
     K = t.size
-    xc = np.zeros(rs.order)
-    xp = np.zeros(plant.order)
-    n_r = rs.n_r
+    nc, n_r = rs.order, rs.n_r
+    N = nc + plant.order
+    # one product per sample: [xc, xp, e, u] -> [xc+, xp+, Cp xp+, Cc xc+]
+    W = np.zeros((N + 2, N + 2))
+    W[:nc, :nc], W[:nc, N] = Ac, Bc
+    W[nc:N, nc:N], W[nc:N, N + 1] = Ap, Bp
+    W[N] = plant.C[0] @ W[nc:N]
+    W[N + 1] = Cc @ W[:nc]
+    z, z_next = np.zeros(N + 2), np.empty(N + 2)
+    z[N], z[N + 1] = plant.C[0] @ z[nc:N], Cc @ z[:nc]
+    zv, zv_next = memoryview(z), memoryview(z_next)
 
     if cfg.noise_amplitude > 0:
         rng = np.random.default_rng(cfg.noise_seed)
@@ -310,36 +344,35 @@ def simulate_closed_loop(plant: StateSpace, controller: ControllerSpec,
     else:
         noise = np.zeros(K)
     q = cfg.quantization
-
-    y = np.empty(K)
-    e = np.empty(K)
-    u = np.empty(K)
-    e_prev = None
+    y, e, u = np.empty(K), np.empty(K), np.empty(K)
+    # memoryviews read and write the arrays as Python floats
+    r, ff, noise, yv, ev, uv = map(memoryview, (traj.r, u_ff, noise, y, e, u))
+    e_prev = 0.0
     n_resets = 0
-    blow = 1e3 * (np.max(np.abs(r)) + 1e-6)
+    blow = 1e3 * (float(np.max(np.abs(traj.r))) + 1e-6)
 
     for k in range(K):
-        yk = float(Cp @ xp) + noise[k]
+        yk = zv[N] + noise[k]
         if q > 0:
-            yk = np.floor(yk / q) * q
-        ek = r[k] - yk
-        if n_r and e_prev is not None:
-            if (e_prev * ek < 0.0) or (ek == 0.0 and e_prev != 0.0):
-                xc[:n_r] *= rs.gamma
-                n_resets += 1
-        uk_total = float(Cc @ xc) + Dc * ek + u_ff[k]
-        y[k] = yk
-        e[k] = ek
-        u[k] = uk_total
-        xc = Ac @ xc + Bc * ek
-        xp = Ap @ xp + Bp * uk_total
-        e_prev = ek
-        if not np.isfinite(yk) or abs(yk) > blow:
+            x = yk / q
+            yk = (math.floor(x) if math.isfinite(x) else x) * q
+        if not math.isfinite(yk) or abs(yk) > blow:
             raise SimulationDiverged(
                 f"output blew up at t = {t[k]:.4f} s (|y| = {abs(yk):.3g})",
                 time=float(t[k]))
+        ek = r[k] - yk
+        if n_r and (e_prev * ek < 0.0 or (ek == 0.0 and e_prev != 0.0)):
+            z[:n_r] *= rs.gamma
+            zv[N + 1] = float(Cc @ z[:nc])
+            n_resets += 1
+        uk = zv[N + 1] + Dc * ek + ff[k]
+        yv[k], ev[k], uv[k] = yk, ek, uk
+        zv[N], zv[N + 1] = ek, uk
+        W.dot(z, out=z_next)
+        z, z_next, zv, zv_next = z_next, z, zv_next, zv
+        e_prev = ek
 
-    return SimResult(t, r, y, e, u, n_resets)
+    return SimResult(t, traj.r, y, e, u, n_resets)
 
 
 def simulate_linear_closed_loop(plant: StateSpace, controller: ControllerSpec,
@@ -508,5 +541,5 @@ def save_sim_csv(res: SimResult, path):
     """SimResult CSV: `t_s,r_m,y_m,e_m,u`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,r_m,y_m,e_m,u\n")
-        for row in zip(res.t, res.r, res.y, res.e, res.u):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in zip(*map(memoryview, (res.t, res.r, res.y, res.e, res.u))):
+            fh.write("%r,%r,%r,%r,%r\n" % row)

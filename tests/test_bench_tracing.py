@@ -7,6 +7,7 @@ each wrapped boundary and checks that each recorded a clean span.
 """
 
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -94,3 +95,36 @@ def test_tracer_records_a_clean_span_at_every_boundary(tmp_path):
     assert not [s for s in tracer.spans if "error" in s["info"]]
     assert tracer.counts["sim.expm_calls"] > 0
     assert "reset.expm_calls" in tracer.counts
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            yield from _code_objects(const)
+
+
+def test_simulation_reaches_its_kernels_through_the_module(monkeypatch):
+    # the tracer counts sim.feedforward_calls by rebinding the module
+    # global, so simulate_closed_loop must look the drive up there
+    calls = []
+    drive = sim.feedforward_signal
+    monkeypatch.setattr(sim, "feedforward_signal",
+                        lambda *args: calls.append(args) or drive(*args))
+    plant = lti.stage_plant()
+    pid = synthesis.build_benchmark_suite(plant)["pid"]
+    traj = sim.generate_trajectory("step", 3e-6, 0.01)
+    sim.simulate_closed_loop(lti.tf_to_ss(plant), pid, traj, sim.SimConfig(),
+                             feedforward=sim.make_feedforward(plant, 1e5))
+    assert len(calls) == 1
+
+    # no kernel keeps a module-level function in a local, a closure cell or
+    # a default argument, where a rebinding would not reach it
+    globals_ = {name for name, value in vars(sim).items() if callable(value)}
+    for name, fn in vars(sim).items():
+        if not (inspect.isfunction(fn) and fn.__module__ == sim.__name__):
+            continue
+        for code in _code_objects(fn.__code__):
+            assert not globals_ & set(code.co_varnames + code.co_cellvars), name
+        defaults = (*(fn.__defaults__ or ()), *(fn.__kwdefaults__ or {}).values())
+        assert not [d for d in defaults if callable(d)], name

@@ -20,6 +20,7 @@ from resetloop.reset import (
 )
 from resetloop.sim import (
     SimConfig,
+    SimResult,
     SimulationDiverged,
     generate_trajectory,
     make_feedforward,
@@ -105,6 +106,33 @@ def test_step_and_hold():
     traj = generate_trajectory("step", 3e-6, 0.1, hold=0.05)
     assert traj.t[-1] == pytest.approx(0.15)
     assert np.all(traj.r == 3e-6)
+
+
+def _scalar_scan(distance, duration, dt, hold):
+    """The scan reference evaluated one sample at a time."""
+    from resetloop.sim import _SNAP_PATTERN, _scan_profile
+
+    t = np.arange(int(round((duration + hold) / dt)) + 1) * dt
+    tau, unit, snap = _scan_profile(distance, duration)
+    r = np.empty(t.shape)
+    for i, ti in enumerate(t):
+        seg = min(int(ti / tau), len(_SNAP_PATTERN) - 1)
+        j, a, v, x = (snap * q for q in unit[seg])
+        s = snap * _SNAP_PATTERN[seg]
+        d = ti - seg * tau
+        r[i] = x + v * d + a * d**2 / 2 + j * d**3 / 6 + s * d**4 / 24
+    r[t >= duration] = snap * unit[-1][3]
+    return r
+
+
+@given(st.floats(-1e-3, 1e-3), st.floats(0.05, 0.5), st.floats(2e-4, 5e-3),
+       st.floats(0.0, 0.2))
+def test_vectorised_scan_is_bit_equal_to_the_scalar_evaluation(distance, duration,
+                                                               dt, hold):
+    traj = generate_trajectory("fourth_order_scan", distance, duration, dt=dt,
+                               hold=hold)
+    assert distance == 0.0 or np.array_equal(
+        traj.r, _scalar_scan(distance, duration, dt, hold))
 
 
 def test_unknown_trajectory_kind():
@@ -237,6 +265,63 @@ def test_step_feedforward_matches_the_held_reference_drive(plant, monkeypatch):
                                          feedforward=ff))
     for a, b in ((runs[0].u, runs[1].u), (runs[0].y, runs[1].y)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def _per_sample_feedforward(ff, traj, dt):
+    """The continuous-trajectory drive stepped one sample at a time, with
+    the same sub-step schedule and snap levels as the blocked drive."""
+    from resetloop.sim import _SNAP_PATTERN, _scan_profile
+
+    ffss = tf_to_ss(ff)
+    n = ffss.order
+    tau, snap, boundaries = traj.duration, 0.0, []
+    if traj.kind == "fourth_order_scan" and traj.distance != 0.0:
+        tau, _, snap = _scan_profile(traj.distance, traj.duration)
+        boundaries = [i * tau for i in range(1, len(_SNAP_PATTERN) + 1)]
+    m = n + 4
+    M = np.zeros((m + 1, m + 1))
+    M[:n, :n] = ffss.A
+    M[:n, n] = ffss.B[:, 0]
+    M[n:m, n + 1:m + 1] = np.eye(4)
+    Phi = scipy.linalg.expm(M * dt)
+
+    def step(z, t0, h):
+        P = Phi if h == dt else scipy.linalg.expm(M * h)
+        s = 0.0
+        if t0 < traj.duration:
+            s = snap * _SNAP_PATTERN[min(int(t0 / tau), 14)]
+        return P[:m, :m] @ z + P[:m, m] * s
+
+    z = np.zeros(m)
+    z[n] = traj.r[0]
+    u = np.empty(traj.t.size)
+    b = 0
+    for k in range(traj.t.size):
+        u[k] = float(ffss.C[0] @ z[:n]) + ffss.D * z[n]
+        t0 = traj.t[k]
+        t1 = t0 + dt
+        while b < len(boundaries) and boundaries[b] < t1 - 1e-15:
+            if boundaries[b] - t0 > 1e-15:
+                z = step(z, t0, boundaries[b] - t0)
+            t0 = boundaries[b]
+            b += 1
+        if t1 - t0 > 1e-15:
+            z = step(z, t0, dt if t1 - t0 >= dt * (1 - 1e-12) else t1 - t0)
+    return u
+
+
+@pytest.mark.parametrize("ref", ["step3um", "ref1", "ref2", "ref3"])
+def test_blocked_feedforward_matches_the_per_sample_drive(plant, ref):
+    # ref3 puts every snap switch on a sample
+    from resetloop.cli import _REFERENCES
+    from resetloop.sim import feedforward_signal
+
+    kind, distance, duration, hold = _REFERENCES[ref]
+    traj = generate_trajectory(kind, distance, duration, hold=hold)
+    ff = make_feedforward(plant, 100.0 * _pid_spec(plant).omega_c)
+    got = feedforward_signal(ff, traj, 1e-4)
+    want = _per_sample_feedforward(ff, traj, 1e-4)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_feedforward_rejects_a_trajectory_it_cannot_drive(plant):
@@ -427,6 +512,74 @@ def _pid_spec(plant):
 def _scores(res):
     """`metrics` over the whole run."""
     return metrics(res, (res.t[0], res.t[-1]))
+
+
+def _per_sample_loop(plant, controller, traj, cfg, feedforward=None):
+    """The hybrid loop with each state advanced by its own product and the
+    outputs read back from the states, one sample at a time."""
+    from resetloop.sim import SimResult, _sampled_loop
+
+    rs, Ac, Bc, Ap, Bp, u_ff = _sampled_loop(plant, controller, traj, cfg,
+                                             feedforward)
+    Cc, Dc, Cp = rs.base.C[0], rs.base.D, plant.C[0]
+    K = traj.t.size
+    xc, xp = np.zeros(rs.order), np.zeros(plant.order)
+    noise = np.zeros(K)
+    if cfg.noise_amplitude > 0:
+        noise = np.random.default_rng(cfg.noise_seed).uniform(
+            -cfg.noise_amplitude, cfg.noise_amplitude, size=K)
+    y, e, u = np.empty(K), np.empty(K), np.empty(K)
+    e_prev, n_resets = None, 0
+    blow = 1e3 * (np.max(np.abs(traj.r)) + 1e-6)
+    for k in range(K):
+        yk = float(Cp @ xp) + noise[k]
+        if cfg.quantization > 0:
+            yk = np.floor(yk / cfg.quantization) * cfg.quantization
+        ek = traj.r[k] - yk
+        if rs.n_r and e_prev is not None:
+            if (e_prev * ek < 0.0) or (ek == 0.0 and e_prev != 0.0):
+                xc[:rs.n_r] *= rs.gamma
+                n_resets += 1
+        uk = float(Cc @ xc) + Dc * ek + u_ff[k]
+        y[k], e[k], u[k] = yk, ek, uk
+        xc = Ac @ xc + Bc * ek
+        xp = Ap @ xp + Bp * uk
+        e_prev = ek
+        if not np.isfinite(yk) or abs(yk) > blow:
+            raise SimulationDiverged("blew up", time=float(traj.t[k]))
+    return SimResult(traj.t, traj.r, y, e, u, n_resets)
+
+
+@pytest.mark.parametrize("design", ["pid", "cglp-pid", "cglp-pi", "cloc-1",
+                                    "cloc-2"])
+def test_fused_loop_matches_the_per_sample_loop(plant, suite, design):
+    from resetloop.cli import _REFERENCES
+
+    spec = suite[design]
+    plant_ss = tf_to_ss(plant)
+    ff = make_feedforward(plant, 100.0 * spec.omega_c)
+    for ref in ("step3um", "ref1", "ref3"):
+        kind, distance, duration, hold = _REFERENCES[ref]
+        traj = generate_trajectory(kind, distance, duration, hold=hold)
+        for noise in (0.0, 2e-6):
+            cfg = SimConfig(noise_amplitude=noise, noise_seed=17)
+            for drive in (None, ff):
+                runs = []
+                for simulate in (simulate_closed_loop, _per_sample_loop):
+                    try:
+                        runs.append(simulate(plant_ss, spec, traj, cfg, drive))
+                    except SimulationDiverged as exc:
+                        runs.append(exc.time)
+                got, want = runs
+                case = (ref, noise, drive is not None)
+                if not isinstance(want, SimResult):
+                    assert got == want, case
+                    continue
+                assert np.array_equal(got.y, want.y), case
+                assert np.array_equal(got.e, want.e), case
+                assert got.n_resets == want.n_resets, case
+                assert (np.max(np.abs(got.u - want.u))
+                        <= 1e-14 * np.max(np.abs(want.u))), case
 
 
 def test_zero_reference_stays_at_zero(plant, suite):
@@ -634,6 +787,19 @@ def test_sim_csv_format(tmp_path, plant):
     assert len(lines) == res.t.size + 1
     row = [float(v) for v in lines[1].split(",")]
     assert row[1] == 3e-6
+
+
+def test_sim_csv_bytes_match_the_per_value_repr_writer(tmp_path, plant):
+    spec = _pid_spec(plant)
+    traj = generate_trajectory("fourth_order_scan", 100e-6, 0.093, hold=0.01)
+    res = simulate_closed_loop(tf_to_ss(plant), spec, traj, SimConfig(
+        noise_amplitude=2e-6), feedforward=make_feedforward(plant, hz(15000.0)))
+    path = tmp_path / "run.csv"
+    save_sim_csv(res, path)
+    want = "t_s,r_m,y_m,e_m,u\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in zip(res.t, res.r, res.y, res.e, res.u))
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_downsampling_robustness_on_tracking(plant):
