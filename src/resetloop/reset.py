@@ -18,7 +18,10 @@ the frequency-only pieces once per call, E in closed form (divided
 differences of the exponential for a lower-bidiagonal A: every lag chain,
 clegg, fore; cosh and sinh for the 2x2 sore; scipy's ``expm`` otherwise),
 and solves for x in blocks of (omega, gamma) points: by forward
-substitution when A is lower triangular, by batched LAPACK otherwise.
+substitution when A is lower triangular, by batched LAPACK otherwise.  The
+triangular path screens the jump resolvents' conditioning once per
+frequency for the whole batch, the other path once per point; where the
+screen fails, the exact cond_2 of each map decides.
 The simulator keeps scipy's ``expm`` for every A, so the time-domain
 oracle shares no exponential code with the closed form.
 Everything is a pure function of immutable inputs.
@@ -298,26 +301,32 @@ def _check_resolvent(E, g, bound, grid):
 def _solve_lower(E, g, m, grid):
     """Solve (I + diag(g) E) x = diag(g) m for lower-triangular E by forward
     substitution over the n states, every step elementwise on (F, G)
-    arrays; returns x as n such arrays."""
+    arrays; returns x as n such arrays.  One bound per frequency screens
+    the batch: with c_i = max |g_i| and d_i = min |1 + g_i e_ii| over it,
+    every map M has |M^-1| <= W^-1 for W = diag(d) - diag(c) |tril(E, -1)|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 8.3)
+    and |M| <= I + diag(c) |E|: cond_2(M) <= ||I + diag(c)|E| ||_F ||W^-1||_F."""
     n = E.shape[-1]
     e = E[..., None]   # e[:, i, j] is (F, 1) and broadcasts over G
+    a = np.abs(g).max(axis=0)[:, None] * np.abs(E)   # diag(c) |E|
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_diag = [1.0 / (1.0 + g[:, i] * e[:, i, i]) for i in range(n)]
-        scale = [g[:, i] * d for i, d in enumerate(inv_diag)]
+        diag = [1.0 + g[:, i] * e[:, i, i] for i in range(n)]
+        scale = [g[:, i] * (1.0 / d) for i, d in enumerate(diag)]
         x = []
         for i in range(n):
             x.append(scale[i] * (m[:, i, None] - sum(e[:, i, j] * x[j] for j in range(i))))
-        # M^-1 column by column, for the bound ||M||_F ||M^-1||_F >= cond_2(M)
+        # W^-1 column by column, elementwise on (F,) arrays
+        d = [np.abs(di).min(axis=1) for di in diag]
         norm_inv = 0.0
         for k in range(n):
-            col = [inv_diag[k]]
+            col = [1.0 / d[k]]
             for i in range(k + 1, n):
-                col.append(-scale[i] * sum(e[:, i, j] * c for j, c in enumerate(col, k)))
-            norm_inv = norm_inv + sum(c * c for c in col)
-        norm_m = sum((float(i == j) + g[:, i] * e[:, i, j]) ** 2
+                col.append(sum(a[:, i, j] * y for j, y in enumerate(col, k)) / d[i])
+            norm_inv = norm_inv + sum(y * y for y in col)
+        norm_m = sum((float(i == j) + a[:, i, j]) ** 2
                      for i in range(n) for j in range(i + 1))
         bound = np.sqrt(norm_m * norm_inv)
-    _check_resolvent(E, g, bound, grid)
+    _check_resolvent(E, g, np.broadcast_to(bound[:, None], diag[0].shape), grid)
     return x
 
 
@@ -373,7 +382,10 @@ def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
     step = max(1, _BLOCK_POINTS // G)
     for fs in (slice(f0, f0 + step) for f0 in range(0, F, step)):
         x = solve(E[fs], g, m[fs], grid[fs])
-        y = [np.where(identity, 0.0, x[i] - lam_b[fs, i, None]) for i in range(n)]
+        y = [x[i] - lam_b[fs, i, None] for i in range(n)]
+        if identity.any():
+            for yi in y:
+                yi[:, identity] = 0.0
         for k, q in enumerate(qs):
             out[k, fs] += sum(q[fs, i, None] * y[i] for i in range(n))
     return out.transpose(0, 2, 1)
@@ -450,6 +462,8 @@ def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.n
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 2 or gammas.shape[1] != n_r:
         raise ValueError("gammas must be (G, n_r)")
+    if not np.all(np.abs(gammas) <= 1.0):
+        raise ValueError("each gamma_i must lie in [-1, 1]")
     return _harmonics(base, n_r, gammas, _check_grid(grid), (1,))[0]
 
 

@@ -14,7 +14,6 @@ written in Hz and converted where they are used.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,6 +58,8 @@ TUNE_WEIGHTS = (1.0, 0.04)
 TUNE_POINTS_PER_DECADE = 50
 TUNE_REFINE_DELTA = 0.01
 TUNE_TOP_K = 3
+#: most reset maps per kernel call; a 3-pair ladder's grids (21^3) fit in one
+TUNE_CHUNK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,6 @@ def split_reset(crone: CroneApprox, gamma, taming_factor=DEFAULT_TAMING_FACTOR,
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (crone.n_pairs,):
         raise ValueError(f"gamma must have length {crone.n_pairs}")
-    if np.any(np.abs(gamma) > 1.0):
-        raise ValueError("each gamma_i must lie in [-1, 1]")
     if taming_factor < 10.0:
         raise ValueError("taming_factor below 10 would disturb the band")
     top = float(omega_h) if omega_h is not None else max(crone.zeros)
@@ -238,6 +237,12 @@ def _gamma_grid_values(delta):
     return np.minimum(vals, 1.0)
 
 
+def _product_grid(axes):
+    """itertools.product(*axes) as a (G, len(axes)) array."""
+    grids = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack(grids, axis=-1).reshape(-1, len(axes))
+
+
 def _refine_axis(center, refine_delta, steps):
     """The 2 steps + 1 points of the refine_delta grid nearest `center`,
     clipped to [-1, 1].  Each value is refine_delta times an integer index,
@@ -246,18 +251,10 @@ def _refine_axis(center, refine_delta, steps):
     return np.clip(refine_delta * index, -1.0, 1.0)
 
 
-def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
-    """Pick the reset factors that best hit a (gain slope, phase slope)
-    target.
-
-    Every combination gamma_i in -1:delta:1 is scored by the weighted
-    squared slope error of the filter's first-harmonic response over the
-    trimmed band; with ``refine``, a local grid at TUNE_REFINE_DELTA around
-    the best TUNE_TOP_K coarse candidates sharpens the answer.  The
-    returned objective is the minimum over every evaluated point, and ties
-    break toward the lexicographically smallest gamma vector, so the result
-    is deterministic no matter how the evaluations are ordered.
-    """
+def _tune_scorer(crone: CroneApprox, target):
+    """The tuner's score: a function from reset maps gammas (G, n) to
+    (gammas, objective, gain slope, phase slope), fitted to the filter's
+    first-harmonic response over the trimmed band."""
     tg, tp = float(target[0]), float(target[1])
     if not (np.isfinite(tg) and np.isfinite(tp)):
         raise ValueError("target slopes must be finite")
@@ -276,21 +273,44 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
     x = np.log10(grid)
     X = np.vstack([x, np.ones_like(x)]).T
     pinv_row = np.linalg.pinv(X)[0]
+    # the unwrapped phase sums principal increments, so its slope weights them
+    # by tail[j] = sum(pinv_row[j + 1:]); sum(pinv_row) = 0 drops the start phase
+    tail = np.degrees(np.cumsum(pinv_row[::-1])[-2::-1])
 
-    coarse = np.array(list(itertools.product(_gamma_grid_values(delta), repeat=n)))
+    def score(gammas):
+        parts = []
+        for g0 in range(0, len(gammas), TUNE_CHUNK_POINTS):
+            chunk = gammas[g0:g0 + TUNE_CHUNK_POINTS]
+            vals = describing_function_gamma_batch(linear.c_r.base, n, chunk, grid) * lin_vals
+            # row sums: BLAS gemv would round each row by the chunk it is in
+            gs = (20.0 * np.log10(np.abs(vals)) * pinv_row).sum(axis=1)
+            vals[:, 1:] *= vals[:, :-1].conj()   # the phase increments
+            ps = (np.angle(vals[:, 1:]) * tail).sum(axis=1)
+            parts.append((wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps))
+        return (gammas, *(np.concatenate(c) for c in zip(*parts)))
+    return score
 
-    def evaluate(gammas):
-        vals = (describing_function_gamma_batch(linear.c_r.base, n, gammas, grid)
-                * lin_vals[None, :])
-        gs = 20.0 * np.log10(np.abs(vals)) @ pinv_row
-        ps = np.degrees(np.unwrap(np.angle(vals), axis=1)) @ pinv_row
-        return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
 
-    evaluated = [evaluate(coarse)]
+def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
+    """Pick the reset factors that best hit a (gain slope, phase slope)
+    target.
+
+    Every combination gamma_i in -1:delta:1 is scored by the weighted
+    squared slope error of the filter's first-harmonic response over the
+    trimmed band; with ``refine``, a local grid at TUNE_REFINE_DELTA around
+    the best TUNE_TOP_K coarse candidates sharpens the answer.  The
+    returned objective is the minimum over every evaluated point, and ties
+    break toward the lexicographically smallest gamma vector, so the result
+    is deterministic no matter how the evaluations are ordered.
+    """
+    score = _tune_scorer(crone, target)
+    n = crone.n_pairs
+    coarse = _product_grid([_gamma_grid_values(delta)] * n)
+    evaluated = [score(coarse)]
     obj = evaluated[0][1]
 
-    order = np.lexsort(tuple(coarse[:, i] for i in reversed(range(n))) + (obj,))
-    ranked = order[np.argsort(obj[order], kind="stable")]
+    # by objective, ties by gamma
+    ranked = np.lexsort(tuple(coarse[:, i] for i in reversed(range(n))) + (obj,))
     top_points = tuple((tuple(float(v) for v in coarse[i]), float(obj[i]))
                        for i in ranked[:10])
 
@@ -301,7 +321,7 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
         steps = int(round(window / TUNE_REFINE_DELTA))
         for idx in ranked[:TUNE_TOP_K]:   # coarse grid points are distinct
             axes = [_refine_axis(c, TUNE_REFINE_DELTA, steps) for c in coarse[idx]]
-            evaluated.append(evaluate(np.array(list(itertools.product(*axes)))))
+            evaluated.append(score(_product_grid(axes)))
 
     g_all, o_all, gs_all, ps_all = (np.concatenate(c) for c in zip(*evaluated))
     best_set = np.flatnonzero(o_all == o_all.min())

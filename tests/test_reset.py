@@ -152,6 +152,15 @@ def test_nan_gamma_rejected():
         ResetSystem(base, 1, [float("nan")])
 
 
+@pytest.mark.parametrize("gammas", [[[np.nan, 0.5]], [[2.0, -3.0]]])
+def test_gamma_batch_applies_the_reset_system_rule(gammas):
+    base = lag_chain([1.0, 10.0], [0.0, 0.0]).base
+    with pytest.raises(ValueError, match="gamma"):
+        ResetSystem(base, 2, gammas[0])
+    with pytest.raises(ValueError, match="gamma"):
+        describing_function_gamma_batch(base, 2, gammas, np.array([1.0, 2.0]))
+
+
 def test_marginal_base_needs_flag():
     base = StateSpace([[0.0]], [[1.0]], [[1.0]], 0.0)
     with pytest.raises(ValueError, match="marginal"):
@@ -394,6 +403,32 @@ def test_expm_grid_sore_matches_mpmath():
             ref = np.array(mpmath.expm(mpmath.matrix(A.tolist()) * mpmath.mpf(tk))
                            .tolist(), dtype=float)
             assert np.abs(Ek - ref).max() <= 5e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", ["lag chain", "fore", "clegg"])
+@given(st.data())
+def test_lower_screen_bounds_every_condition_number(kind, data):
+    # the triangular path screens a whole batch with one bound per
+    # frequency; it must cover the exact cond_2 of every map it lets pass
+    A = data.draw(_STRUCTURED[kind])
+    n = A.shape[0]
+    # near -1 with a slow pole at high omega, 1 + g_i e_ii nearly vanishes
+    # and W^-1 is far from diagonal; every batch holds one such map
+    factor = st.sampled_from([-1.0, -0.999, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+    gammas = np.array(data.draw(st.lists(
+        st.lists(factor, min_size=n, max_size=n), max_size=5)) + [[-0.999] * n])
+    base = StateSpace(A, np.ones((n, 1)), np.ones((1, n)), 0.0)
+    grid = log_grid(0.05, 2e4, 8)
+    check = resetloop.reset._check_resolvent
+    with mock.patch.object(resetloop.reset, "_check_resolvent", wraps=check) as spy:
+        try:
+            describing_function_gamma_batch(base, n, gammas, grid)
+        except SingularFrequencyError:
+            pass   # a failed screen went to the exact check, which raised
+    assert spy.called
+    for (E, g, bound, _), _ in spy.call_args_list:
+        cond = np.linalg.cond(np.eye(n) + g[None, :, :, None] * E[:, None])
+        assert np.all(~(bound <= 1e14) | (bound >= (1 - 1e-9) * cond))
 
 
 def test_time_domain_oracle_keeps_scipy_expm():

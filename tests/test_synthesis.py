@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import resetloop.synthesis
 from resetloop.lti import (
     FrequencyResponse,
     first_order_lag,
@@ -9,7 +12,7 @@ from resetloop.lti import (
     log_grid,
     to_hz,
 )
-from resetloop.reset import describing_function
+from resetloop.reset import describing_function, describing_function_gamma_batch
 from resetloop.synthesis import (
     ApproxBand,
     CLOC_LADDERS_HZ,
@@ -30,7 +33,11 @@ from resetloop.synthesis import (
     slope_estimate,
     split_reset,
     tune_arho,
+    TUNE_WEIGHTS,
+    _gamma_grid_values,
+    _product_grid,
     _refine_axis,
+    _tune_scorer,
 )
 from resetloop.specfile import _builtin_specs, build_controller
 
@@ -268,6 +275,68 @@ def test_refine_windows_share_their_overlap_exactly():
     # clipping keeps the window size, so the evaluated point count is fixed
     edge = _refine_axis(1.0, 0.01, 10)
     assert edge.size == 21 and edge.max() == 1.0 and np.sum(edge == 1.0) == 11
+
+
+def _reference_scores(crone, target):
+    """The tuner's score as it was computed through np.unwrap: the fit of
+    every unwrapped phase sample, with the same (gammas, objective, gain
+    slope, phase slope) result as ``_tune_scorer``."""
+    lo, hi = fit_band(crone)
+    npts = max(12, int(round(np.log10(hi / lo) * 50)) + 1)
+    grid = np.logspace(np.log10(lo), np.log10(hi), npts)
+    linear = split_reset(crone, np.ones(crone.n_pairs))
+    x = np.log10(grid)
+    pinv_row = np.linalg.pinv(np.vstack([x, np.ones_like(x)]).T)[0]
+    wg, wp = TUNE_WEIGHTS
+
+    def score(gammas):
+        vals = (describing_function_gamma_batch(linear.c_r.base, crone.n_pairs,
+                                                gammas, grid)
+                * linear.c_nr(1j * grid)[None, :])
+        gs = 20.0 * np.log10(np.abs(vals)) @ pinv_row
+        ps = np.degrees(np.unwrap(np.angle(vals), axis=1)) @ pinv_row
+        return gammas, wg * (gs - target[0]) ** 2 + wp * (ps - target[1]) ** 2, gs, ps
+    return score
+
+
+@pytest.fixture(scope="module")
+def cloc1_ladder():
+    poles_hz, zeros_hz, _, _ = ladder_hz(1)
+    return CroneApprox(tuple(hz(np.array(zeros_hz))), tuple(hz(np.array(poles_hz))))
+
+
+def test_tune_scores_match_the_unwrap_reference(cloc1_ladder, monkeypatch):
+    target = (-10.0, 125.0)
+    result = tune_arho(cloc1_ladder, target)
+    coarse = _product_grid([_gamma_grid_values(0.1)] * 3)
+    grids = [coarse] + [_product_grid([_refine_axis(c, 0.01, 10) for c in g])
+                        for g, _ in result.top[:3]]
+    score = _tune_scorer(cloc1_ladder, target)
+    reference = _reference_scores(cloc1_ladder, target)
+    for gammas in grids:
+        _, obj, gs, ps = score(gammas)
+        _, ref_obj, ref_gs, ref_ps = reference(gammas)
+        assert np.all(np.abs(obj - ref_obj) <= 1e-12 * ref_obj)
+        assert np.all(np.abs(gs - ref_gs) <= 1e-12)
+        assert np.all(np.abs(ps - ref_ps) <= 1e-12)
+    monkeypatch.setattr(resetloop.synthesis, "_tune_scorer", _reference_scores)
+    ref = tune_arho(cloc1_ladder, target)
+    assert result.gamma == ref.gamma
+    assert [g for g, _ in result.top] == [g for g, _ in ref.top]
+    assert result.objective == pytest.approx(ref.objective, rel=1e-12)
+
+
+def test_tuner_result_does_not_depend_on_the_chunk_size(cloc1_ladder, monkeypatch):
+    # 9^3 = 729 maps: 104 full chunks of 7 and one of 1
+    whole = tune_arho(cloc1_ladder, (-10.0, 125.0), delta=0.25, refine=False)
+    monkeypatch.setattr(resetloop.synthesis, "TUNE_CHUNK_POINTS", 7)
+    assert tune_arho(cloc1_ladder, (-10.0, 125.0), delta=0.25, refine=False) == whole
+
+
+def test_product_grid_keeps_itertools_order():
+    axes = [np.array([0.5, -1.0, 0.25]), np.array([1.0]), np.array([0.0, -0.5])]
+    for grid in (axes, [axes[0]] * 3):
+        assert np.array_equal(_product_grid(grid), list(itertools.product(*grid)))
 
 
 def test_tuner_rejects_bad_inputs(small_skeleton):
