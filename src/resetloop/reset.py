@@ -16,14 +16,14 @@ Lambda^-1 B.  The first harmonic is C (jwI - A)^-1 (B - j (2w^2/pi) v) + D
 and harmonic n >= 3 is -j (2w^2/pi) C (jnwI - A)^-1 v.  The kernel computes
 the frequency-only pieces once per call, E in closed form (divided
 differences of the exponential for a lower-bidiagonal A: every lag chain,
-clegg, fore; cosh and sinh for the 2x2 sore; scipy's ``expm`` otherwise),
-and solves for x in blocks of (omega, gamma) points: by forward
-substitution when A is lower triangular, by batched LAPACK otherwise.  The
-triangular path screens the jump resolvents' conditioning once per
-frequency for the whole batch, the other path once per point; where the
-screen fails, the exact cond_2 of each map decides.
-The simulator keeps scipy's ``expm`` for every A, so the time-domain
-oracle shares no exponential code with the closed form.
+clegg, fore; cosh and sinh for the 2x2 sore; otherwise scipy's ``expm``,
+imported on first use), and solves for x in blocks of (omega, gamma)
+points: by forward substitution when A is lower triangular, by batched
+LAPACK otherwise.  The triangular path screens the jump resolvents'
+conditioning once per frequency for the whole batch, the other path once
+per point; where the screen fails, the exact cond_2 of each map decides.
+The simulator has its own scaling-and-squaring ``expm`` for every A, so
+the time-domain oracle shares no exponential code with the closed form.
 Everything is a pure function of immutable inputs.
 """
 
@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lti import SingularFrequencyError, StateSpace, to_hz
 
@@ -199,6 +198,13 @@ def _guard(cond, omega, what):
         w, c = omega[bad[0]], cond[bad[0]]
         raise SingularFrequencyError(f"{what} singular at omega = {w:g} rad/s "
                                      f"(condition estimate {c:.3g})", omega=w, cond=c)
+
+
+def expm(M):
+    """scipy's matrix exponential, imported on the first call: only the
+    fallback of `_expm_grid` needs it, so no other route loads scipy."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(M)
 
 
 def _expm_grid(A, t):

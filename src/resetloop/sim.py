@@ -8,7 +8,10 @@ seeded noise injection, and tracking metrics.
 Discretization everywhere is the exact matrix-exponential step with the
 input held over each sample (the controller runs sampled, like the real
 hardware it models), so the only approximations in a run are the sampling
-of the reset instant to the grid and the sensor model itself.
+of the reset instant to the grid and the sensor model itself.  The
+exponential is this module's own `expm` (scaling and squaring, numpy
+only), so the simulator neither loads scipy nor shares code with the
+closed form's exponential in `reset`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lti import StateSpace, TransferFunction, series_ss, tf_to_ss
 from .reset import ResetSystem
@@ -160,6 +162,88 @@ def make_feedforward(plant: TransferFunction, relegation_omega) -> TransferFunct
     while len(ff_den) <= len(ff_num):
         ff_den = np.polymul(ff_den, (1.0 / relegation_omega, 1.0))
     return TransferFunction(tuple(ff_num), tuple(ff_den))
+
+
+# Largest scaled norm at which the degree-m Pade approximant of e^x is accurate
+# to unit roundoff (Al-Mohy & Higham, "A new scaling and squaring algorithm for
+# the matrix exponential", SIAM J. Matrix Anal. Appl. 31(3), 2009); theta_13 is
+# scipy's 4.25, not 5.37, which gives the simulator's matrices scipy's scaling.
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+
+
+def _pade(m):
+    """Weights of the degree-m approximant over the even powers of A, highest
+    first, and 1/|c_2m+1| of its error series e^x - r_m(x)."""
+    f = math.factorial
+    b = [f(2 * m - k) // (f(k) * f(m - k)) for k in range(m + 1)]
+    rows = ([[0, *b[9::2]], b[1:9:2], [0, *b[8::2]], b[0:8:2]] if m == 13
+            else [b[1::2], b[0::2]])
+    return np.array(rows, dtype=float)[:, ::-1], f(2 * m) * f(2 * m + 1) / f(m) ** 2
+
+
+_PADE = {m: _pade(m) for m in _THETA}
+
+
+def expm(M):
+    """e^M of a real square matrix by scaling and squaring, the Pade degree and
+    scaling chosen from exact 1-norms of powers of M (Al-Mohy & Higham 2009).
+    A non-finite M, or one whose powers overflow, gives all NaN."""
+    A = np.asarray(M, dtype=float)
+    n, absA = len(A), np.abs(A)
+    norm = absA.sum(axis=0).max()
+    if not math.isfinite(norm):
+        return np.full((n, n), np.nan)
+
+    def ell(m, scale=1.0):
+        """Squarings degree m adds for scale * A, from ||(scale |A|)^(2m+1)||_1."""
+        top = np.linalg.matrix_power(absA * scale, 2 * m + 1).sum(axis=0).max()
+        if not top:
+            return 0
+        alpha = min(top / (norm * scale) / _PADE[m][1] * 2.0**53, 2.0**1000)
+        return math.ceil(math.log2(alpha) / (2 * m)) if alpha > 1 else 0
+
+    I = np.eye(n)
+    # reach[i, j]: a path j -> ... -> i of nonzero off-diagonal entries.  With
+    # none e^M[i, j] = 0, and on no cycle e^M[i, i] = e^(M[i, i]); imposing both,
+    # as Al-Mohy & Higham do for a triangular M, leaves no rounding of the
+    # pivoted solve there for the squarings to blow up.
+    reach = (A != 0) > I
+    for _ in range((n - 1).bit_length()):
+        reach |= reach @ reach
+    loose = np.flatnonzero(~reach.diagonal())
+    diag = A.diagonal()[loose]
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6, A8 = A2 @ A4, A4 @ A4
+        d4, d6, d8, d10 = (np.abs([A4, A6, A8, A4 @ A6]).sum(axis=1).max(axis=1)
+                           ** [1 / 4, 1 / 6, 1 / 8, 1 / 10])
+    if not math.isfinite(d4 + d6 + d8):
+        return np.full((n, n), np.nan)
+    s = 0
+    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
+        if eta <= _THETA[m] and ell(m) == 0:
+            break
+    else:
+        m = 13
+        eta = min(max(d6, d8), max(d8, d10))
+        s = math.ceil(math.log2(eta / _THETA[13])) if eta > _THETA[13] else 0
+        s += ell(13, 2.0**-s)
+        A, A2, A4, A6 = (X * 2.0**(-k * s) for X, k in ((A, 1), (A2, 2), (A4, 4), (A6, 6)))
+    w = _PADE[m][0]
+    terms = w.shape[1]
+    W = (w @ np.reshape([I, A2, A4, A6, A8][terms - 1::-1], (terms, -1))).reshape(-1, n, n)
+    U, V = (A @ W[0], W[1]) if m < 13 else (A @ (A6 @ W[0] + W[1]), A6 @ W[2] + W[3])
+    # r_m = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U, solved transposed, which
+    # keeps the small entries of a badly scaled M accurate
+    X = np.linalg.solve((V - U).T, 2 * U.T).T + I
+    X[~reach > I] = 0.0
+    X.flat[loose * (n + 1)] = np.exp(diag * 2.0**-s)
+    for _ in range(s):
+        X = X @ X
+    X.flat[loose * (n + 1)] = np.exp(diag)
+    return X
 
 
 def _discretize(ss: StateSpace, dt):

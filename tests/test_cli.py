@@ -309,6 +309,57 @@ def test_cold_start_does_not_import_scipy_optimize(tmp_path):
     assert (tmp_path / "df" / "harmonic_01.csv").is_file()
 
 
+def _run_fresh(lines):
+    """Run `lines` in a fresh interpreter with this checkout's package."""
+    src = str(pathlib.Path(resetloop.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_start_and_simulation_do_not_import_scipy(tmp_path):
+    # the simulator and the oracle have their own exponential, and the
+    # builtin closed forms never reach the scipy fallback
+    _run_fresh([
+        "import sys",
+        "import resetloop.cli",
+        "from resetloop.lti import hz, stage_plant, tf_to_ss",
+        "from resetloop.reset import sore",
+        "from resetloop.sim import (SimConfig, generate_trajectory,",
+        "    make_feedforward, simulate_closed_loop, steady_state_harmonics)",
+        "from resetloop.synthesis import build_benchmark_suite",
+        "plant = stage_plant()",
+        "suite = build_benchmark_suite(plant)",
+        f"rc = resetloop.cli.main(['df', 'cglp-pi', '--fmin-hz', '10', "
+        f"'--fmax-hz', '1000', '--points-per-decade', '5', '--out', "
+        f"{str(tmp_path / 'df')!r}])",
+        "assert rc == 0, rc",
+        "steady_state_harmonics(sore(hz(20.0), 0.7, 0.2), hz(30.0), 3)",
+        "spec = suite['pid']",
+        "traj = generate_trajectory('fourth_order_scan', 100e-6, 0.093, hold=0.1)",
+        "simulate_closed_loop(tf_to_ss(plant), spec, traj, SimConfig(),",
+        "    make_feedforward(plant, 100.0 * spec.omega_c))",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert not loaded, loaded",
+    ])
+
+
+def test_unstructured_exponential_still_falls_back_to_scipy():
+    _run_fresh([
+        "import sys",
+        "import numpy as np",
+        "from resetloop.reset import _expm_grid",
+        "assert 'scipy' not in sys.modules",
+        "A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-6.0, -11.0, -6.0]])",
+        "t = np.array([1e-3, 0.1, 2.0])",
+        "E = _expm_grid(A, t)",
+        "import scipy.linalg",
+        "assert np.array_equal(E, scipy.linalg.expm(t[:, None, None] * A))",
+    ])
+
+
 def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cglp-sore").write_text("not a spec\n")

@@ -431,7 +431,14 @@ def test_lower_screen_bounds_every_condition_number(kind, data):
         assert np.all(~(bound <= 1e14) | (bound >= (1 - 1e-9) * cond))
 
 
-def test_time_domain_oracle_keeps_scipy_expm():
+def test_time_domain_oracle_shares_no_exponential_with_the_closed_form():
     # the simulator is the independent check on the closed form, so it
-    # must not share the structured exponential
-    assert resetloop.sim.expm is scipy.linalg.expm
+    # must not share the structured exponential or its scipy fallback
+    assert resetloop.sim.expm is not resetloop.reset.expm
+    assert resetloop.sim.expm is not resetloop.reset._expm_grid
+    taken = AssertionError("closed-form exponential taken")
+    with (mock.patch.object(resetloop.reset, "expm", side_effect=taken),
+          mock.patch.object(resetloop.reset, "_expm_grid", side_effect=taken)):
+        gains = resetloop.sim.steady_state_harmonics(sore(hz(20.0), 0.7, 0.2),
+                                                     hz(30.0), 3)
+    assert np.all(np.isfinite(gains))

@@ -1,5 +1,9 @@
+import importlib.util
+import pathlib
 import warnings
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -283,10 +287,10 @@ def _per_sample_feedforward(ff, traj, dt):
     M[:n, :n] = ffss.A
     M[:n, n] = ffss.B[:, 0]
     M[n:m, n + 1:m + 1] = np.eye(4)
-    Phi = scipy.linalg.expm(M * dt)
+    Phi = resetloop.sim.expm(M * dt)
 
     def step(z, t0, h):
-        P = Phi if h == dt else scipy.linalg.expm(M * h)
+        P = Phi if h == dt else resetloop.sim.expm(M * h)
         s = 0.0
         if t0 < traj.duration:
             s = snap * _SNAP_PATTERN[min(int(t0 / tau), 14)]
@@ -469,6 +473,131 @@ def test_blown_up_block_raises_without_overflow_warnings():
         with pytest.raises(SimulationDiverged) as got:
             steady_state_harmonics(rs, 1e-30, 3)
     assert got.value.time == np.pi / 1e-30 / 500
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e-100, 1e-40])
+@pytest.mark.parametrize("element", ["fore", "clegg", "sore"])
+def test_oracle_at_a_vanishing_frequency_diverges_without_warnings(element, omega):
+    # the flow's powers overflow (or its jump bound underflows) long before
+    # a half period ends; that must surface as divergence, nothing else
+    rs = {"fore": lambda: fore(hz(20.0), 0.5), "clegg": clegg,
+          "sore": lambda: sore(hz(20.0), 0.5, 0.2)}[element]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationDiverged):
+            steady_state_harmonics(rs, omega, 3)
+
+
+class _Recorded(Exception):
+    """Stops an oracle run once its one exponential is recorded."""
+
+
+def _bench_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _simulator_matrices(plant, suite):
+    """Every distinct matrix the simulator exponentiates: the held-input
+    steps and feedforward drives of the builtin suite on step3um, ref1 and
+    ref3, and the oracle flows of the benchmark's validate elements."""
+    from resetloop.cli import _REFERENCES
+    from resetloop.sim import _sampled_loop
+
+    seen = {}
+    real = resetloop.sim.expm
+
+    def record(M, stop=False):
+        M = np.array(M)
+        seen.setdefault((M.shape, M.tobytes()), M)
+        if stop:
+            raise _Recorded
+        return real(M)
+
+    plant_ss = tf_to_ss(plant)
+    with mock.patch.object(resetloop.sim, "expm", side_effect=record):
+        for spec in suite.values():
+            ff = make_feedforward(plant, 100.0 * spec.omega_c)
+            for ref in ("step3um", "ref1", "ref3"):
+                kind, distance, duration, hold = _REFERENCES[ref]
+                traj = generate_trajectory(kind, distance, duration, hold=hold)
+                _sampled_loop(plant_ss, spec, traj, SimConfig(), ff)
+    bench = _bench_workloads()
+    with mock.patch.object(resetloop.sim, "expm",
+                           side_effect=lambda M: record(M, stop=True)):
+        for case in bench.make_inputs("validate", 0)["cases"]:
+            with pytest.raises(_Recorded):
+                steady_state_harmonics(bench.validate_element(case),
+                                       hz(case["freq_hz"]), 5)
+    return list(seen.values())
+
+
+def test_expm_matches_mpmath_on_every_simulator_matrix(plant, suite):
+    matrices = _simulator_matrices(plant, suite)
+    assert len(matrices) > 30
+    with mpmath.workdps(50):
+        for M in matrices:
+            exact = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(),
+                             dtype=float)
+            top = np.max(np.abs(exact))
+            got = resetloop.sim.expm(M)
+            err = np.max(np.abs(got - exact)) / top
+            err_scipy = np.max(np.abs(scipy.linalg.expm(M) - exact)) / top
+            assert err <= 4 * err_scipy, (M.shape, err, err_scipy)
+            # a state that drives no other (a zero column of M) and one that
+            # nothing drives, such as a held input (a zero row), keep their
+            # exact unit column and row
+            eye = np.eye(len(M))
+            column, row = ~M.any(axis=0), ~M.any(axis=1)
+            assert np.array_equal(got[:, column], eye[:, column])
+            assert np.array_equal(got[row], eye[row])
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n),
+    st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+    st.floats(-4.0, 1.0), st.integers(0, n - 1), st.integers(0, n - 1))))
+def test_expm_matches_scipy_on_random_matrices(drawn):
+    entries, keep, log_scale, col, row = drawn
+    n = int(round(len(entries) ** 0.5))
+    M = (np.array(entries) * np.array(keep)).reshape(n, n) * 10.0**log_scale
+    M[:, col] = 0.0
+    M[row] = 0.0
+    want = scipy.linalg.expm(M)
+    got = resetloop.sim.expm(M)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    assert np.array_equal(got[:, col], np.eye(n)[:, col])
+    assert np.array_equal(got[row], np.eye(n)[row])
+
+
+def test_expm_unit_columns_and_rows_survive_pivoting():
+    # sparse matrices whose solve pivots across a zero column: the unit
+    # column and row must still come out exact
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        n = int(rng.integers(2, 7))
+        M = (rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+             * 10.0 ** rng.uniform(-2.0, 1.5))
+        col, row = rng.integers(n, size=2)
+        M[:, col] = 0.0
+        M[row] = 0.0
+        got = resetloop.sim.expm(M)
+        assert np.array_equal(got[:, col], np.eye(n)[:, col]), M
+        assert np.array_equal(got[row], np.eye(n)[row]), M
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_of_a_non_finite_matrix_is_all_nan_without_warnings(bad):
+    M = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, 1.0], [0.0, 1.0, -2.0]])
+    M[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = resetloop.sim.expm(M)
+    assert got.shape == M.shape and np.all(np.isnan(got))
+    assert np.all(np.isnan(scipy.linalg.expm(M)))
 
 
 def test_oracle_takes_one_expm_per_call(monkeypatch):
