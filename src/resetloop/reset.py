@@ -296,10 +296,13 @@ def _frequency_matrices(A, grid):
 
 
 def _check_resolvent(E, g, bound, grid):
-    """Guard the jump resolvent I + diag(g) E.  ``bound`` (F, G) bounds its
-    cond_2 from above at each point; the exact value is computed only where
-    the bound fails (or is NaN)."""
-    f, k = np.nonzero(~(bound <= _COND_LIMIT))
+    """Guard the jump resolvent I + diag(g) E.  ``bound`` (F, G), or (F, 1)
+    for one per frequency, bounds its cond_2 from above at each point; the
+    exact value is computed only where the bound fails (or is NaN)."""
+    fail = ~(bound <= _COND_LIMIT)
+    if not fail.any():
+        return
+    f, k = np.nonzero(np.broadcast_to(fail, (E.shape[0], g.shape[0])))
     M = np.eye(E.shape[-1]) + g[k][:, :, None] * E[f]
     _guard(np.linalg.cond(M), grid[f], "I + A_R e^(pi A/omega)")
 
@@ -332,7 +335,7 @@ def _solve_lower(E, g, m, grid):
         norm_m = sum((float(i == j) + a[:, i, j]) ** 2
                      for i in range(n) for j in range(i + 1))
         bound = np.sqrt(norm_m * norm_inv)
-    _check_resolvent(E, g, np.broadcast_to(bound[:, None], diag[0].shape), grid)
+    _check_resolvent(E, g, bound[:, None], grid)
     return x
 
 

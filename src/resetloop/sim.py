@@ -11,7 +11,9 @@ hardware it models), so the only approximations in a run are the sampling
 of the reset instant to the grid and the sensor model itself.  The
 exponential is this module's own `expm` (scaling and squaring, numpy
 only), so the simulator neither loads scipy nor shares code with the
-closed form's exponential in `reset`.
+closed form's exponential in `reset`.  The feedforward drive and the
+oracle read their outputs in blocks: the rows c Phi^k come from repeated
+squaring, so a block of samples is one product with its start state.
 """
 
 from __future__ import annotations
@@ -256,6 +258,18 @@ def _discretize(ss: StateSpace, dt):
     return Phi[:n, :n], Phi[:n, n]
 
 
+def _power_rows(row, P, count):
+    """The rows row @ P^j for j = 0..count-1, filled by repeated squaring:
+    each product doubles the filled rows, then P is squared."""
+    rows = np.empty((count, row.size))
+    rows[0], filled = row, 1
+    while filled < count:
+        take = min(filled, count - filled)
+        rows[filled:filled + take] = rows[:take] @ P
+        P, filled = P @ P, filled + take
+    return rows
+
+
 def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray:
     """Feedforward command at the sample instants.
 
@@ -317,13 +331,9 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
         np.minimum((t[live] / tau).astype(int), 14)]
     cuts = np.flatnonzero(split[1:] | split[:-1] | (level[1:] != level[:-1]))
     edges = [0, *(cuts + 1).tolist(), K]
-    rows = np.zeros((max(np.diff(edges)), m + 1))
-    rows[0, :n], rows[0, n] = ffss.C[0], ffss.D
-    P, filled = Phi, 1
-    while filled < len(rows):
-        take = min(filled, len(rows) - filled)
-        rows[filled:filled + take] = rows[:take] @ P
-        P, filled = P @ P, filled + take
+    row = np.zeros(m + 1)
+    row[:n], row[n] = ffss.C[0], ffss.D
+    rows = _power_rows(row, Phi, max(np.diff(edges)))
 
     z = np.zeros(m + 1)
     z[n] = traj.r[0]
@@ -519,14 +529,15 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
 
     The sinusoid is carried as two extra oscillator states so each step is
     an exact matrix-exponential flow Phi; resets land exactly on the
-    input's zero crossings (every half period).  The run advances one half
-    period at a time: the rows c Phi^k (k = 1..m, c the output row, m the
-    samples per half period) give the whole block of output samples from
-    its start state in one product, Phi^m gives the state at the jump, and
-    the reset is applied there.  After discarding the transient half of
-    the run, the output is projected onto e^{j n omega t} over an integer
-    number of periods; output samples at the jump instants use the
-    mid-jump value, which keeps the quadrature second order.
+    input's zero crossings (every half period).  The run is computed in
+    blocks, one per half period: the start states follow from the jump
+    recursion z <- R Phi^m z (R the reset map, m the samples per half
+    period), and the rows c Phi^k (k = 1..m, c the output row, built by
+    repeated squaring) turn all start states into all output samples in
+    one product.  After discarding the transient half of the run, the
+    output is projected onto e^{j n omega t} over an integer number of
+    periods; output samples at the jump instants use the mid-jump value,
+    which keeps the quadrature second order.
 
     Returns a list of complex gains for n = 1..n_max (even entries are
     quadrature noise, bounded far below the first harmonic).
@@ -534,6 +545,9 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
     omega = float(omega)
     if not (np.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    n_max = _whole(n_max, "n_max")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if dt is not None:
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -563,31 +577,28 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
     gam = rs.reset_matrix().diagonal().copy()
 
     c = np.concatenate([C[0], [D, 0.0]])
-    nsteps = 2 * m * n_periods
-    z = np.zeros(n + 2)
-    z[n + 1] = 1.0
+    nb = 2 * n_periods                 # half periods, one block each
+    nsteps = nb * m
+    Z = np.zeros((nb + 1, n + 2))      # Z[j]: state at the start of block j
+    Z[0, n + 1] = 1.0
     ys = np.empty(nsteps + 1)
-    ys[0] = c @ z
+    ys[0] = c @ Z[0]
     settle_limit = 1e9 * (np.max(np.abs(B)) + 1.0)
-    rows = np.empty((m, n + 2))    # rows[k - 1] = c Phi^k
-    Phi_m = np.eye(n + 2)
     # a blown-up run overflows in these products; the limit check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(m):
-            Phi_m = Phi_m @ Phi
-            rows[k] = c @ Phi_m
-        for j in range(2 * n_periods):
-            block = ys[j * m + 1:(j + 1) * m + 1]
-            block[:] = rows @ z
-            z = Phi_m @ z
-            z[:n] *= gam
-            block[-1] = 0.5 * (block[-1] + c @ z)
-            settled = np.abs(block) <= settle_limit
-            if not settled.all():
-                k = j * m + 1 + int(np.argmin(settled))
-                raise SimulationDiverged(
-                    f"open-loop response is not settling at omega = {omega:g}",
-                    time=k * step)
+        rows = _power_rows(c @ Phi, Phi, m)    # rows[k - 1] = c Phi^k
+        Phi_m = np.linalg.matrix_power(Phi, m)
+        for j in range(nb):
+            Z[j + 1] = Phi_m @ Z[j]
+            Z[j + 1, :n] *= gam
+        Y = np.matmul(Z[:-1], rows.T, out=ys[1:].reshape(nb, m))
+        Y[:, -1] = 0.5 * (Y[:, -1] + Z[1:] @ c)
+        bad = np.flatnonzero(~(np.abs(ys[1:]) <= settle_limit))
+    if bad.size:
+        k = 1 + int(bad[0])
+        raise SimulationDiverged(
+            f"open-loop response is not settling at omega = {omega:g}",
+            time=k * step)
 
     start = 2 * m * discard_periods
     yv = ys[start:-1]

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -376,14 +377,17 @@ def test_oracle_validates_sampling():
     (dict(omega=np.nan, dt=1e-4), "omega"),
     (dict(omega=1.0, samples_per_period=201), "even"),
     (dict(omega=1.0, n_periods=24.5), "n_periods"),
+    (dict(omega=1.0, n_max=0), "n_max must be at least 1"),
+    (dict(omega=1.0, n_max=-1), "n_max must be at least 1"),
+    (dict(omega=1.0, n_max=2.0), "n_max must be an integer"),
 ])
 def test_oracle_rejects_bad_arguments(kwargs, err):
     with pytest.raises(ValueError, match=err):
-        steady_state_harmonics(clegg(), n_max=3, **kwargs)
+        steady_state_harmonics(clegg(), **{"n_max": 3, **kwargs})
 
 
 def _reference_harmonics(rs, omega, n_max, samples_per_period=1000,
-                         n_periods=24, dt=None):
+                         n_periods=24, dt=None, discard_periods=None):
     """The oracle stepped one sample at a time: the blocked oracle must
     reproduce this loop's samples, jumps and divergence time."""
     if dt is not None:
@@ -414,7 +418,9 @@ def _reference_harmonics(rs, omega, n_max, samples_per_period=1000,
             ys[k] = float(C[0] @ z[:n]) + D * z[n]
         if not np.isfinite(ys[k]) or abs(ys[k]) > settle_limit:
             raise SimulationDiverged("not settling", time=k * step)
-    start = m * n_periods
+    if discard_periods is None:
+        discard_periods = n_periods // 2
+    start = 2 * m * discard_periods
     tv = np.arange(start, nsteps) * step
     span = (nsteps - start) * step
     return [complex(1j * (2.0 / span) * step
@@ -446,6 +452,33 @@ def test_blocked_oracle_matches_per_sample_loop_on_dt_path():
     assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12 * abs(ref[0])
 
 
+@st.composite
+def _oracle_runs(draw):
+    """(samples per period, periods, discarded periods): m is rarely a
+    power of two, and odd period counts are drawn too."""
+    n_periods = draw(st.integers(2, 12))
+    return (2 * draw(st.integers(100, 600)), n_periods,
+            draw(st.integers(1, n_periods - 1)))
+
+
+@given(st.sampled_from(["fore", "sore", "clegg", "cloc-1"]),
+       _oracle_runs(), st.floats(0.5, 300.0))
+def test_blocked_oracle_matches_per_sample_loop_on_random_runs(kind, run, f_hz):
+    samples, n_periods, discard = run
+    if kind == "cloc-1":
+        ladder = CLOC_LADDERS_HZ[1]
+        rs = lag_chain(hz(np.array(ladder["poles"])), ladder["gamma"])
+    else:
+        rs = {"fore": lambda: fore(hz(20.0), 0.5), "clegg": clegg,
+              "sore": lambda: sore(hz(20.0), 0.7, -0.3)}[kind]()
+    w = hz(f_hz)
+    kwargs = dict(samples_per_period=samples, n_periods=n_periods,
+                  discard_periods=discard)
+    got = steady_state_harmonics(rs, w, 5, **kwargs)
+    ref = _reference_harmonics(rs, w, 5, **kwargs)
+    assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12 * abs(ref[0])
+
+
 def _integrator_chain(order):
     A = np.eye(order, k=-1)
     B = np.eye(order, 1)
@@ -473,6 +506,24 @@ def test_blown_up_block_raises_without_overflow_warnings():
         with pytest.raises(SimulationDiverged) as got:
             steady_state_harmonics(rs, 1e-30, 3)
     assert got.value.time == np.pi / 1e-30 / 500
+
+
+def test_blocked_oracle_allocates_one_run_sized_sample_array():
+    # 4000 samples x 64 periods: 256 000 samples, 2.05 MB per float array.
+    # The projection sets the peak: the samples, their times, the rotation
+    # and two weighted copies make 4.53 such arrays, which is also what the
+    # half-period-at-a-time loop peaked at (9.28 MB).  A second sample
+    # array kept alive would add 1.0 to that.
+    rs, w = sore(hz(20.0), 0.7, 0.2), hz(50.0)
+    kwargs = dict(samples_per_period=4000, n_periods=64)
+    steady_state_harmonics(rs, w, 5, **kwargs)
+    tracemalloc.start()
+    try:
+        steady_state_harmonics(rs, w, 5, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6 * (4000 * 64 * 8)
 
 
 @pytest.mark.parametrize("omega", [1e-300, 1e-100, 1e-40])
