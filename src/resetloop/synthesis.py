@@ -14,6 +14,8 @@ written in Hz and converted where they are used.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -278,17 +280,27 @@ def _tune_scorer(crone: CroneApprox, target):
     tail = np.degrees(np.cumsum(pinv_row[::-1])[-2::-1])
 
     def score(gammas):
-        parts = []
-        for g0 in range(0, len(gammas), TUNE_CHUNK_POINTS):
-            chunk = gammas[g0:g0 + TUNE_CHUNK_POINTS]
-            vals = describing_function_gamma_batch(linear.c_r.base, n, chunk, grid) * lin_vals
-            # row sums: BLAS gemv would round each row by the chunk it is in
-            gs = (20.0 * np.log10(np.abs(vals)) * pinv_row).sum(axis=1)
-            vals[:, 1:] *= vals[:, :-1].conj()   # the phase increments
-            ps = (np.angle(vals[:, 1:]) * tail).sum(axis=1)
-            parts.append((wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps))
-        return (gammas, *(np.concatenate(c) for c in zip(*parts)))
+        vals = describing_function_gamma_batch(linear.c_r.base, n, gammas, grid) * lin_vals
+        # row sums: BLAS gemv would round each row by the batch it is in
+        gs = (20.0 * np.log10(np.abs(vals)) * pinv_row).sum(axis=1)
+        vals[:, 1:] *= vals[:, :-1].conj()   # the phase increments
+        ps = (np.angle(vals[:, 1:]) * tail).sum(axis=1)
+        return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
     return score
+
+
+def _score_grid(score, axes):
+    """Score the C-order product grid of ``axes`` in sub-products of at most
+    TUNE_CHUNK_POINTS maps, each a product grid itself so the kernel solves
+    it per prefix: the first axis whose trailing product fits is sliced,
+    for one index of the axes before it at a time.  Yields each chunk's
+    (gammas, objective, gain slope, phase slope) in grid order."""
+    lengths = [len(a) for a in axes]
+    s = next(i for i in range(len(axes)) if math.prod(lengths[i + 1:]) <= TUNE_CHUNK_POINTS)
+    take = TUNE_CHUNK_POINTS // math.prod(lengths[s + 1:])
+    for lead in itertools.product(*axes[:s]):
+        for j in range(0, lengths[s], take):
+            yield score(_product_grid([*([v] for v in lead), axes[s][j:j + take], *axes[s + 1:]]))
 
 
 def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
@@ -304,31 +316,37 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
     is deterministic no matter how the evaluations are ordered.
     """
     score = _tune_scorer(crone, target)
-    n = crone.n_pairs
-    coarse = _product_grid([_gamma_grid_values(delta)] * n)
-    evaluated = [score(coarse)]
-    obj = evaluated[0][1]
+    coarse = [_gamma_grid_values(delta)] * crone.n_pairs
+    best = []   # (objective, gamma, gain slope, phase slope) per chunk
 
-    # by objective, ties by gamma
-    ranked = np.lexsort(tuple(coarse[:, i] for i in reversed(range(n))) + (obj,))
-    top_points = tuple((tuple(float(v) for v in coarse[i]), float(obj[i]))
-                       for i in ranked[:10])
+    def scores(axes):
+        """The grid's objectives; keeps each chunk's first minimum, which is
+        its smallest gamma among exact ties: the axes ascend in C-order."""
+        objs = []
+        for gammas, obj, gs, ps in _score_grid(score, axes):
+            i = int(np.argmin(obj))
+            best.append((float(obj[i]), tuple(float(v) for v in gammas[i]),
+                         float(gs[i]), float(ps[i])))
+            objs.append(obj)
+        return np.concatenate(objs)
+
+    obj = scores(coarse)
+    # by objective; the flat index is in gamma order, so ties stay sorted
+    ranked = np.argsort(obj, kind="stable")[:10]
+    shape = [len(a) for a in coarse]
+    top_points = tuple((tuple(float(a[k]) for a, k in zip(coarse, np.unravel_index(i, shape))),
+                        float(obj[i])) for i in ranked)
 
     if refine and TUNE_REFINE_DELTA < delta:
         # local polish only: the window never exceeds one coarse cell and
         # is capped so huge coarse deltas stay cheap
         window = min(delta, 10.0 * TUNE_REFINE_DELTA)
         steps = int(round(window / TUNE_REFINE_DELTA))
-        for idx in ranked[:TUNE_TOP_K]:   # coarse grid points are distinct
-            axes = [_refine_axis(c, TUNE_REFINE_DELTA, steps) for c in coarse[idx]]
-            evaluated.append(score(_product_grid(axes)))
+        for gamma, _ in top_points[:TUNE_TOP_K]:   # coarse grid points are distinct
+            scores([_refine_axis(c, TUNE_REFINE_DELTA, steps) for c in gamma])
 
-    g_all, o_all, gs_all, ps_all = (np.concatenate(c) for c in zip(*evaluated))
-    best_set = np.flatnonzero(o_all == o_all.min())
-    # lexicographically smallest gamma among exact ties
-    best = best_set[np.lexsort(tuple(g_all[best_set, i] for i in reversed(range(n))))[0]]
-    return TuneResult(tuple(float(v) for v in g_all[best]), float(gs_all[best]),
-                      float(ps_all[best]), float(o_all[best]), top_points)
+    objective, gamma, gain_slope, phase_slope = min(best)
+    return TuneResult(gamma, gain_slope, phase_slope, objective, top_points)
 
 
 # --- controller assembly ----------------------------------------------------

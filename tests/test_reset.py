@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import mpmath
@@ -22,6 +23,7 @@ from resetloop.reset import (
     HarmonicResponse,
     ResetSystem,
     _expm_grid,
+    _grid_factors,
     _harmonics,
     clegg,
     describing_function,
@@ -249,6 +251,43 @@ def test_batch_kernel_matches_per_spec(poles, data):
             x = np.linalg.solve(1j * w * np.eye(n) - A, (np.eye(n) + 1j * th) @ B)
             ref = (C @ x)[0, 0]
             assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+def test_product_grid_path_matches_the_column_path():
+    # a product grid is solved per prefix of its axes; the same maps
+    # shuffled take the column path and must give the same doubles.  The
+    # second axis is a refine window clipped at 1 (repeats at its end), the
+    # grid holds the identity map, and the chain's third state does not reset
+    base = lag_chain(np.array([100.0, 480.0, 2200.0]), np.zeros(3)).base
+    axes = [np.array([-0.5, 0.0, 1.0]), np.clip(np.arange(95, 106) / 100, -1.0, 1.0)]
+    gammas = np.array(list(itertools.product(*axes)))
+    perm = np.random.default_rng(0).permutation(len(gammas))
+    assert [f.shape for f in _grid_factors(gammas, 3)] == [(3, 1), (1, 11), (1, 1)]
+    assert [f.shape for f in _grid_factors(gammas[perm], 3)] == [(33,), (33,), (1,)]
+    grid = log_grid(1.0, 2000.0, 8)
+    product = describing_function_gamma_batch(base, 2, gammas, grid)
+    assert np.array_equal(product[perm],
+                          describing_function_gamma_batch(base, 2, gammas[perm], grid))
+    third = _harmonics(base, 2, gammas, grid, (3,))[0]
+    assert np.array_equal(third[perm], _harmonics(base, 2, gammas[perm], grid, (3,))[0])
+    # repeats at the start of a leading axis hide the product: column path
+    leading = np.array(list(itertools.product(np.clip(np.arange(-102, -97) / 100, -1, 1),
+                                              axes[0])))
+    assert [f.shape for f in _grid_factors(leading, 2)] == [(15,), (15,)]
+
+
+def test_product_grid_raises_the_per_spec_singular_error():
+    # an integrator ahead of a lag: gamma_1 = -1 makes I + diag(g) E singular
+    base = StateSpace([[0.0, 0.0], [1.0, -1.0]], [[1.0], [0.0]], [[0.0, 1.0]], 0.0)
+    gammas = np.array(list(itertools.product([-1.0, 0.0, 0.5], [0.0, 1.0])))
+    assert [f.shape for f in _grid_factors(gammas, 2)] == [(3, 1), (1, 2)]
+    grid = np.array([1.0, 2.0])
+    with pytest.raises(SingularFrequencyError, match="singular at omega = 1 ") as batch:
+        describing_function_gamma_batch(base, 2, gammas, grid)
+    with pytest.raises(SingularFrequencyError) as single:
+        describing_function(ResetSystem(base, 2, gammas[0], allow_marginal=True), grid)
+    assert batch.value.omega == single.value.omega == 1.0
+    assert str(batch.value) == str(single.value)
 
 
 @given(st.integers(0, 2**32 - 1))

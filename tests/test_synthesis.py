@@ -333,6 +333,23 @@ def test_tuner_result_does_not_depend_on_the_chunk_size(cloc1_ladder, monkeypatc
     assert tune_arho(cloc1_ladder, (-10.0, 125.0), delta=0.25, refine=False) == whole
 
 
+def test_tuner_kernel_calls_stay_within_the_chunk_size(small_skeleton, monkeypatch):
+    # 7 is below the trailing sub-product 9 of the 9^2 coarse grid and 21
+    # of the 21^2 refine windows, so the last axis itself is sliced
+    target = (-10.0, 80.0)
+    whole = tune_arho(small_skeleton, target, delta=0.25)
+    sizes = []
+    batch = resetloop.synthesis.describing_function_gamma_batch
+
+    def spy(base, n_r, gammas, grid):
+        sizes.append(len(gammas))
+        return batch(base, n_r, gammas, grid)
+    monkeypatch.setattr(resetloop.synthesis, "describing_function_gamma_batch", spy)
+    monkeypatch.setattr(resetloop.synthesis, "TUNE_CHUNK_POINTS", 7)
+    assert tune_arho(small_skeleton, target, delta=0.25) == whole
+    assert max(sizes) == 7 and sum(sizes) == 9**2 + 3 * 21**2
+
+
 def test_product_grid_keeps_itertools_order():
     axes = [np.array([0.5, -1.0, 0.25]), np.array([1.0]), np.array([0.0, -0.5])]
     for grid in (axes, [axes[0]] * 3):
