@@ -231,12 +231,20 @@ class TuneResult:
     top: tuple = field(default=())   # ((gamma, objective), ...) best grid points
 
 
+def _steps_per_unit(delta):
+    """N where 1/delta is the integer N (within 1e-9), else 0.  A grid
+    value index / N is the double nearest the exact fraction, while
+    delta * index also carries the rounding of delta itself."""
+    n = round(1.0 / delta)
+    return n if n and abs(1.0 / delta - n) <= 1e-9 else 0
+
+
 def _gamma_grid_values(delta):
     if not (0 < delta <= 2.0):
         raise ValueError("delta must lie in (0, 2]")
-    k = int(np.floor(2.0 / delta + 1e-9))
-    vals = -1.0 + delta * np.arange(k + 1)
-    return np.minimum(vals, 1.0)
+    k = np.arange(int(np.floor(2.0 / delta + 1e-9)) + 1)
+    n = _steps_per_unit(delta)
+    return np.minimum((k - n) / n if n else -1.0 + delta * k, 1.0)
 
 
 def _product_grid(axes):
@@ -250,7 +258,8 @@ def _refine_axis(center, refine_delta, steps):
     clipped to [-1, 1].  Each value is refine_delta times an integer index,
     so overlapping windows reach a shared point as the same double."""
     index = round(center / refine_delta) + np.arange(-steps, steps + 1)
-    return np.clip(refine_delta * index, -1.0, 1.0)
+    n = _steps_per_unit(refine_delta)
+    return np.clip(index / n if n else refine_delta * index, -1.0, 1.0)
 
 
 def _tune_scorer(crone: CroneApprox, target):

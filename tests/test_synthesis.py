@@ -277,6 +277,14 @@ def test_refine_windows_share_their_overlap_exactly():
     assert edge.size == 21 and edge.max() == 1.0 and np.sum(edge == 1.0) == 11
 
 
+def test_tuned_gammas_are_the_doubles_of_their_decimals(small_skeleton):
+    # coarse 0.1 and refine 0.01 steps: every gamma written out is the
+    # double nearest its two-decimal value, not -1 + 0.1 * 14 or 0.01 * -35
+    result = tune_arho(small_skeleton, (-10.0, 80.0), delta=0.1)
+    for gamma in [result.gamma] + [g for g, _ in result.top]:
+        assert all(round(v, 2) == v for v in gamma), gamma
+
+
 def _reference_scores(crone, target):
     """The tuner's score as it was computed through np.unwrap: the fit of
     every unwrapped phase sample, with the same (gammas, objective, gain
