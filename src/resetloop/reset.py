@@ -18,16 +18,15 @@ the frequency-only pieces once per call, E in closed form (divided
 differences of the exponential for a lower-bidiagonal A: every lag chain,
 clegg, fore; cosh and sinh for the 2x2 sore; otherwise scipy's ``expm``,
 imported on first use), and solves for x in blocks of (omega, gamma)
-points: by forward substitution when A is lower triangular, by batched
-LAPACK otherwise.  When the maps form a product grid, as every grid the
-tuner scores does, the forward substitution solves state i once per
-prefix gamma_1..gamma_i of the grid, so only the last reset state and the
-output sum cost a pass over every map.  The triangular path screens the
-jump resolvents' conditioning once per frequency for the whole batch, the
-other path once per point; where the screen fails, the exact cond_2 of
-each map decides.  The simulator has its own scaling-and-squaring ``expm``
-for every A, so the time-domain oracle shares no exponential code with the
-closed form.  Everything is a pure function of immutable inputs.
+points: by forward substitution when A is lower triangular (once per
+prefix gamma_1..gamma_i for state i on a product grid of maps, so only the
+last reset state costs a pass per map), by batched LAPACK otherwise.  The
+triangular path screens the jump resolvents' conditioning once per
+frequency for the whole batch, the other path once per point; where the
+screen fails, the exact cond_2 of each map decides.  The simulator has its
+own scaling-and-squaring ``expm`` for every A, so the time-domain oracle
+shares no exponential code with the closed form.  Everything is a pure
+function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -310,52 +309,49 @@ def _check_resolvent(E, g, bound, grid):
     _guard(np.linalg.cond(M), grid[f], "I + A_R e^(pi A/omega)")
 
 
+def _product_grid(axes):
+    """itertools.product(*axes) as a (G, len(axes)) array: C order."""
+    grids = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack(grids, axis=-1).reshape(-1, len(axes))
+
+
 def _grid_factors(gammas, n):
-    """One reset factor array per state for the maps gammas (G, n_r).  When
-    gammas is the C-order product grid of its axes, as the tuner passes
-    it, factor i is axis i shaped (1, .., L_i, .., 1); otherwise it is
-    column i on the one batch axis, which a single map also takes.  The
-    axis lengths come from how many rows each column prefix keeps its first
-    value, and the grid rebuilt from those axes must equal gammas.  States
-    past n_r get the factor 1."""
+    """Per-state reset factors: axis i of gammas (G, n_r) shaped (1, .., L_i,
+    .., 1) when gammas is the product grid of its axes (the lengths from the
+    runs of each column prefix, checked by rebuilding the grid), else
+    column i; 1 for each state past n_r."""
     G, n_r = gammas.shape
     factors = [gammas[:, i] for i in range(n_r)]
     if G > 1:
         changed = np.ones((G, n_r), dtype=bool)
         changed[:-1] = np.logical_or.accumulate(gammas[1:] != gammas[:-1], axis=1)
         runs = [G, *(np.argmax(changed, axis=0) + 1)]
-        shape = [r // s for r, s in zip(runs, runs[1:])]
-        axes = [gammas[:r:s, i].reshape([-1 if j == i else 1 for j in range(n_r)])
-                for i, (r, s) in enumerate(zip(runs, runs[1:]))]
-        if math.prod(shape) == G and np.array_equal(
-                np.stack(np.broadcast_arrays(*axes), -1).reshape(G, n_r), gammas):
-            factors = axes
+        axes = [gammas[:r:s, i] for i, (r, s) in enumerate(zip(runs, runs[1:]))]
+        if math.prod(map(len, axes)) == G and np.array_equal(_product_grid(axes), gammas):
+            factors = [a.reshape([-1 if j == i else 1 for j in range(n_r)])
+                       for i, a in enumerate(axes)]
     return factors + [np.ones((1,) * factors[0].ndim)] * (n - n_r)
 
 
 def _solve_lower(E, g, factors, m, grid):
     """Solve (I + diag(g) E) x = diag(g) m for lower-triangular E by forward
-    substitution over the n states, elementwise on (F, *batch) arrays;
-    returns x as n such arrays.  ``factors`` holds one array per state that
-    broadcasts against the batch of maps g (G, n): its columns, or for a
-    product grid the axes (see _grid_factors).  x_i then takes the shape of
-    factors 1..i only, so state i is solved once per prefix gamma_1..gamma_i
-    of the grid and only the last reset state, its successors and the
-    output sum cost one pass per map.  One bound per frequency screens the
-    batch: with c_i = max |g_i| and d_i = min |1 + g_i e_ii| over it, every
-    map M has |M^-1| <= W^-1 for W = diag(d) - diag(c) |tril(E, -1)|
+    substitution, elementwise on (F, *batch) arrays in the layout of the
+    _grid_factors ``factors``; returns x as n such arrays, x_i shaped by
+    factors 1..i.  One bound per frequency screens the batch: with c_i =
+    max |g_i| and d_i = min |1 + g_i e_ii| over it, every map M has
+    |M^-1| <= W^-1 for W = diag(d) - diag(c) |tril(E, -1)|
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 8.3)
     and |M| <= I + diag(c) |E|: cond_2(M) <= ||I + diag(c)|E| ||_F ||W^-1||_F."""
     n, pad = E.shape[-1], (1,) * factors[0].ndim
     e = E.reshape(E.shape + pad)   # e[:, i, j] is (F, 1, ..) and broadcasts
-    m = m.reshape(m.shape + pad)
     a = np.array([np.abs(f).max() for f in factors])[:, None] * np.abs(E)   # diag(c) |E|
     with np.errstate(divide="ignore", invalid="ignore"):
         diag = [1.0 + f * e[:, i, i] for i, f in enumerate(factors)]
         scale = [f * (1.0 / d) for f, d in zip(factors, diag)]
         x = []
         for i in range(n):
-            x.append(scale[i] * (m[:, i] - sum(e[:, i, j] * x[j] for j in range(i))))
+            x.append(scale[i] * (m[:, i].reshape(-1, *pad)
+                                 - sum(e[:, i, j] * x[j] for j in range(i))))
         # W^-1 column by column, elementwise on (F,) arrays
         d = [np.abs(di).reshape(len(di), -1).min(axis=1) for di in diag]
         norm_inv = 0.0
@@ -422,16 +418,13 @@ def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
     lower = not np.triu(A, 1).any()
     factors = _grid_factors(gammas, n) if lower else [g[:, i] for i in range(n)]
     pad = (1,) * factors[0].ndim
-    lam_b, qs = lam_b.reshape(lam_b.shape + pad), [q.reshape(q.shape + pad) for q in qs]
     step = max(1, _BLOCK_POINTS // G)
     for fs in (slice(f0, f0 + step) for f0 in range(0, F, step)):
-        if lower:
-            x = _solve_lower(E[fs], g, factors, m[fs], grid[fs])
-        else:
-            x = _solve_general(E[fs], g, m[fs], grid[fs])
-        y = [x[i] - lam_b[fs, i] for i in range(n)]
+        x = (_solve_lower(E[fs], g, factors, m[fs], grid[fs]) if lower
+             else _solve_general(E[fs], g, m[fs], grid[fs]))
+        y = [x[i] - lam_b[fs, i].reshape(-1, *pad) for i in range(n)]
         for k, q in enumerate(qs):
-            term = sum(q[fs, i] * y[i] for i in range(n)).reshape(-1, G)
+            term = sum(q[fs, i].reshape(-1, *pad) * y[i] for i in range(n)).reshape(-1, G)
             term[:, identity] = 0.0   # no jump: v = 0 exactly
             out[k, fs] += term
     return out.transpose(0, 2, 1)

@@ -31,6 +31,7 @@ from .lti import (
 from .reset import (
     HarmonicResponse,
     ResetSystem,
+    _product_grid,
     describing_function,
     describing_function_gamma_batch,
     fore,
@@ -232,11 +233,10 @@ class TuneResult:
 
 
 def _steps_per_unit(delta):
-    """N where 1/delta is the integer N (within 1e-9), else 0.  A grid
-    value index / N is the double nearest the exact fraction, while
-    delta * index also carries the rounding of delta itself."""
+    """N if 1/delta is the integer N (within 1e-9), else 0: index / N is the
+    double nearest the exact fraction, delta * index adds delta's rounding."""
     n = round(1.0 / delta)
-    return n if n and abs(1.0 / delta - n) <= 1e-9 else 0
+    return n if abs(1.0 / delta - n) <= 1e-9 else 0
 
 
 def _gamma_grid_values(delta):
@@ -245,12 +245,6 @@ def _gamma_grid_values(delta):
     k = np.arange(int(np.floor(2.0 / delta + 1e-9)) + 1)
     n = _steps_per_unit(delta)
     return np.minimum((k - n) / n if n else -1.0 + delta * k, 1.0)
-
-
-def _product_grid(axes):
-    """itertools.product(*axes) as a (G, len(axes)) array."""
-    grids = np.meshgrid(*axes, indexing="ij", copy=False)
-    return np.stack(grids, axis=-1).reshape(-1, len(axes))
 
 
 def _refine_axis(center, refine_delta, steps):
@@ -298,20 +292,6 @@ def _tune_scorer(crone: CroneApprox, target):
     return score
 
 
-def _score_grid(score, axes):
-    """Score the C-order product grid of ``axes`` in sub-products of at most
-    TUNE_CHUNK_POINTS maps, each a product grid itself so the kernel solves
-    it per prefix: the first axis whose trailing product fits is sliced,
-    for one index of the axes before it at a time.  Yields each chunk's
-    (gammas, objective, gain slope, phase slope) in grid order."""
-    lengths = [len(a) for a in axes]
-    s = next(i for i in range(len(axes)) if math.prod(lengths[i + 1:]) <= TUNE_CHUNK_POINTS)
-    take = TUNE_CHUNK_POINTS // math.prod(lengths[s + 1:])
-    for lead in itertools.product(*axes[:s]):
-        for j in range(0, lengths[s], take):
-            yield score(_product_grid([*([v] for v in lead), axes[s][j:j + take], *axes[s + 1:]]))
-
-
 def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
     """Pick the reset factors that best hit a (gain slope, phase slope)
     target.
@@ -329,14 +309,19 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
     best = []   # (objective, gamma, gain slope, phase slope) per chunk
 
     def scores(axes):
-        """The grid's objectives; keeps each chunk's first minimum, which is
-        its smallest gamma among exact ties: the axes ascend in C-order."""
-        objs = []
-        for gammas, obj, gs, ps in _score_grid(score, axes):
-            i = int(np.argmin(obj))
-            best.append((float(obj[i]), tuple(float(v) for v in gammas[i]),
-                         float(gs[i]), float(ps[i])))
-            objs.append(obj)
+        """Objectives of the product grid of axes, scored in product sub-grids
+        of at most TUNE_CHUNK_POINTS maps; keeps each chunk's first minimum,
+        its smallest gamma among exact ties as the axes ascend."""
+        lengths = [len(a) for a in axes]
+        s = next(i for i in range(len(axes)) if math.prod(lengths[i + 1:]) <= TUNE_CHUNK_POINTS)
+        take, objs = TUNE_CHUNK_POINTS // math.prod(lengths[s + 1:]), []
+        for lead in itertools.product(*axes[:s]):
+            for j in range(0, lengths[s], take):
+                sub = [*([v] for v in lead), axes[s][j:j + take], *axes[s + 1:]]
+                gammas, obj, gs, ps = score(_product_grid(sub))
+                i = int(np.argmin(obj))
+                best.append((obj[i], tuple(gammas[i]), gs[i], ps[i]))
+                objs.append(obj)
         return np.concatenate(objs)
 
     obj = scores(coarse)
@@ -355,7 +340,8 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
             scores([_refine_axis(c, TUNE_REFINE_DELTA, steps) for c in gamma])
 
     objective, gamma, gain_slope, phase_slope = min(best)
-    return TuneResult(gamma, gain_slope, phase_slope, objective, top_points)
+    return TuneResult(tuple(map(float, gamma)), float(gain_slope), float(phase_slope),
+                      float(objective), top_points)
 
 
 # --- controller assembly ----------------------------------------------------
