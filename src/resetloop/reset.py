@@ -322,7 +322,7 @@ def _grid_factors(gammas, n):
     column i; 1 for each state past n_r."""
     G, n_r = gammas.shape
     factors = [gammas[:, i] for i in range(n_r)]
-    if G > 1:
+    if G > 1:   # a single map's columns are already its axes
         changed = np.ones((G, n_r), dtype=bool)
         changed[:-1] = np.logical_or.accumulate(gammas[1:] != gammas[:-1], axis=1)
         runs = [G, *(np.argmax(changed, axis=0) + 1)]
