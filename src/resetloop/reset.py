@@ -317,15 +317,15 @@ def _product_grid(axes):
 
 def _grid_factors(gammas, n):
     """Per-state reset factors: axis i of gammas (G, n_r) shaped (1, .., L_i,
-    .., 1) when gammas is the product grid of its axes (the lengths from the
-    runs of each column prefix, checked by rebuilding the grid), else
-    column i; 1 for each state past n_r."""
+    .., 1) when gammas is the product grid of its axes (the stride of axis i
+    is the shortest run of the column prefix 1..i, checked by rebuilding the
+    grid), else column i; 1 for each state past n_r."""
     G, n_r = gammas.shape
     factors = [gammas[:, i] for i in range(n_r)]
     if G > 1:   # a single map's columns are already its axes
         changed = np.ones((G, n_r), dtype=bool)
         changed[:-1] = np.logical_or.accumulate(gammas[1:] != gammas[:-1], axis=1)
-        runs = [G, *(np.argmax(changed, axis=0) + 1)]
+        runs = [G, *(np.diff(np.flatnonzero(c), prepend=-1).min() for c in changed.T)]
         axes = [gammas[:r:s, i] for i, (r, s) in enumerate(zip(runs, runs[1:]))]
         if math.prod(map(len, axes)) == G and np.array_equal(_product_grid(axes), gammas):
             factors = [a.reshape([-1 if j == i else 1 for j in range(n_r)])
@@ -416,8 +416,8 @@ def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
     g = np.ones((G, n))
     g[:, :n_r] = gammas
     lower = not np.triu(A, 1).any()
-    factors = _grid_factors(gammas, n) if lower else [g[:, i] for i in range(n)]
-    pad = (1,) * factors[0].ndim
+    factors = _grid_factors(gammas, n) if lower else None
+    pad = (1,) * factors[0].ndim if lower else (1,)
     step = max(1, _BLOCK_POINTS // G)
     for fs in (slice(f0, f0 + step) for f0 in range(0, F, step)):
         x = (_solve_lower(E[fs], g, factors, m[fs], grid[fs]) if lower

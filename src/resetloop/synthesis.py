@@ -232,28 +232,23 @@ class TuneResult:
     top: tuple = field(default=())   # ((gamma, objective), ...) best grid points
 
 
-def _steps_per_unit(delta):
-    """N if 1/delta is the integer N (within 1e-9), else 0: index / N is the
-    double nearest the exact fraction, delta * index adds delta's rounding."""
-    n = round(1.0 / delta)
-    return n if abs(1.0 / delta - n) <= 1e-9 else 0
-
-
 def _gamma_grid_values(delta):
+    """-1 to 1 in steps of delta; (k - N) / N when 1/delta is the integer N,
+    the double nearest each exact fraction."""
     if not (0 < delta <= 2.0):
         raise ValueError("delta must lie in (0, 2]")
     k = np.arange(int(np.floor(2.0 / delta + 1e-9)) + 1)
-    n = _steps_per_unit(delta)
-    return np.minimum((k - n) / n if n else -1.0 + delta * k, 1.0)
+    n = round(1.0 / delta)
+    return np.minimum((k - n) / n if 1.0 / delta == n else -1.0 + delta * k, 1.0)
 
 
 def _refine_axis(center, refine_delta, steps):
     """The 2 steps + 1 points of the refine_delta grid nearest `center`,
-    clipped to [-1, 1].  Each value is refine_delta times an integer index,
-    so overlapping windows reach a shared point as the same double."""
+    clipped to [-1, 1].  refine_delta is 1/N for an integer N and each value
+    is an integer index / N, so overlapping windows reach a shared point as
+    the same double."""
     index = round(center / refine_delta) + np.arange(-steps, steps + 1)
-    n = _steps_per_unit(refine_delta)
-    return np.clip(index / n if n else refine_delta * index, -1.0, 1.0)
+    return np.clip(index / round(1.0 / refine_delta), -1.0, 1.0)
 
 
 def _tune_scorer(crone: CroneApprox, target):

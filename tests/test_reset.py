@@ -270,10 +270,13 @@ def test_product_grid_path_matches_the_column_path():
                           describing_function_gamma_batch(base, 2, gammas[perm], grid))
     third = _harmonics(base, 2, gammas, grid, (3,))[0]
     assert np.array_equal(third[perm], _harmonics(base, 2, gammas[perm], grid, (3,))[0])
-    # repeats at the start of a leading axis hide the product: column path
+    # a leading axis clipped at -1 (repeats at its start) is still a product
     leading = np.array(list(itertools.product(np.clip(np.arange(-102, -97) / 100, -1, 1),
                                               axes[0])))
-    assert [f.shape for f in _grid_factors(leading, 2)] == [(15,), (15,)]
+    assert [f.shape for f in _grid_factors(leading, 2)] == [(5, 1), (1, 3)]
+    perm = np.random.default_rng(1).permutation(len(leading))
+    assert np.array_equal(describing_function_gamma_batch(base, 2, leading, grid)[perm],
+                          describing_function_gamma_batch(base, 2, leading[perm], grid))
 
 
 def test_product_grid_raises_the_per_spec_singular_error():
