@@ -10,7 +10,8 @@ SPEC and SCENARIO are `key = value` text files (see specfile); a handful of
 builtin names (clegg, fore, sore, cglp-fore, cglp-sore, pid, cglp-pid,
 cglp-pi, cloc-1, cloc-2) can be used in place of a path.  The user-facing
 unit is Hz everywhere; exit codes: 0 ok, 2 input error, 3 numerical
-failure.
+failure.  Every output file goes through the command's Manifest, which
+places it under --out and records its sha256 in manifest.txt.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .sim import (
 from .specfile import (
     SUITE,
     _builtin_specs,
+    _Reads,
     build_controller,
     emit_spec,
     finite_number,
@@ -79,42 +81,62 @@ def _load_spec(name_or_path) -> dict:
     return parse_spec(name_or_path) if builtin is None else builtin
 
 
-def _linear_values(d, grid):
+def _linear_response(d, grid) -> FrequencyResponse:
     """No-reset-limit response: the spec with every gamma set to 1."""
     spec = build_controller(d)
     if spec.reset_part is not None:
         spec.reset_part = spec.reset_part.with_gamma(np.ones(spec.reset_part.n_r))
-    return controller_harmonic(spec, grid, 1)
+    return FrequencyResponse(grid, controller_harmonic(spec, grid, 1))
 
 
-def _write_harmonic_files(out_dir, d, grid, orders, man):
-    """harmonic_NN.csv per order (even orders are exact zeros)."""
+def _write_harmonic_files(man, subdir, d, grid, orders):
+    """harmonic_NN.csv per order in ``subdir`` (even orders are exact zeros)."""
     spec = build_controller(d)
     for n in orders:
-        path = os.path.join(out_dir, f"harmonic_{n:02d}.csv")
+        path = man.path(subdir, f"harmonic_{n:02d}.csv")
         values = controller_harmonic(spec, grid, n)
         save_harmonics(path, [HarmonicResponse(grid, n, values)])
         man.add(path)
 
 
-def _write_response_csv(path, grid, values):
-    save_response(FrequencyResponse(grid, values), path)
-
-
 class Manifest:
-    """Output ledger: every file the command wrote, with a sha256."""
+    """Output layout and ledger: every file a command writes goes through
+    ``path``, ``save`` or ``text`` under ``out_dir``, and ``add`` records
+    its sha256 for manifest.txt."""
 
     def __init__(self, command, out_dir, seed=None):
+        os.makedirs(out_dir, exist_ok=True)
         self.command = command
         self.out_dir = out_dir
         self.seed = seed
         self.entries = []
+
+    def path(self, *parts):
+        """``out_dir``/parts..., with its parent directory made."""
+        path = os.path.join(self.out_dir, *parts)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
 
     def add(self, path):
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         rel = os.path.relpath(path, self.out_dir)
         self.entries.append((rel, digest))
+
+    def save(self, writer, obj, *parts):
+        """``writer(obj, path)`` at ``path(*parts)``, recorded; the path."""
+        path = self.path(*parts)
+        writer(obj, path)
+        self.add(path)
+        return path
+
+    def text(self, body, *parts):
+        """A text report ``body`` at ``path(*parts)``, recorded; the path."""
+        path = self.path(*parts)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        self.add(path)
+        return path
 
     def write(self):
         path = os.path.join(self.out_dir, "manifest.txt")
@@ -132,11 +154,12 @@ def cmd_df(args):
     if min(args.harmonics) < 1:
         raise ValueError("--harmonics takes orders >= 1, "
                          f"got {min(args.harmonics)}")
+    if len(set(args.harmonics)) < len(args.harmonics):
+        raise ValueError(f"--harmonics repeats an order: {args.harmonics}")
     d = _load_spec(args.spec)
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
-    os.makedirs(args.out, exist_ok=True)
     man = Manifest("df", args.out)
-    _write_harmonic_files(args.out, d, grid, args.harmonics, man)
+    _write_harmonic_files(man, "", d, grid, args.harmonics)
     man.write()
     print(f"wrote {len(args.harmonics)} harmonic file(s) to {args.out}")
     return 0
@@ -145,34 +168,29 @@ def cmd_df(args):
 def cmd_bode(args):
     d = _load_spec(args.spec)
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "bode.csv")
-    _write_response_csv(path, grid, _linear_values(d, grid))
     man = Manifest("bode", args.out)
-    man.add(path)
+    path = man.save(save_response, _linear_response(d, grid), "bode.csv")
     man.write()
     print(f"wrote {path}")
     return 0
 
 
-def _skeleton_from_spec(d) -> tuple:
-    """CroneApprox plus band from a skeleton file: either explicit ladder
-    lists or (alpha, n_pairs, omega_l_hz, omega_h_hz)."""
+def _skeleton_from_spec(d) -> CroneApprox:
+    """CroneApprox from a skeleton file: either explicit ladder lists or
+    (alpha, n_pairs, omega_l_hz, omega_h_hz)."""
     if "poles_hz" in d and "zeros_hz" in d:
-        crone = CroneApprox(tuple(hz(np.array(finite_numbers(d, "zeros_hz")))),
-                            tuple(hz(np.array(finite_numbers(d, "poles_hz")))),
-                            1.0)
-    elif {"alpha", "n_pairs", "omega_l_hz", "omega_h_hz"} <= d.keys():
+        return CroneApprox(tuple(hz(np.array(finite_numbers(d, "zeros_hz")))),
+                           tuple(hz(np.array(finite_numbers(d, "poles_hz")))),
+                           1.0)
+    if {"alpha", "n_pairs", "omega_l_hz", "omega_h_hz"} <= d.keys():
         n_pairs = finite_number(d, "n_pairs")
         if not n_pairs.is_integer():
             raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
         band = ApproxBand(hz(finite_number(d, "omega_l_hz")),
                           hz(finite_number(d, "omega_h_hz")), int(n_pairs))
-        crone = crone_place(finite_number(d, "alpha"), band)
-    else:
-        raise ValueError("skeleton needs poles_hz/zeros_hz or "
-                         "alpha/n_pairs/omega_l_hz/omega_h_hz")
-    return crone
+        return crone_place(finite_number(d, "alpha"), band)
+    raise ValueError("skeleton needs poles_hz/zeros_hz or "
+                     "alpha/n_pairs/omega_l_hz/omega_h_hz")
 
 
 def cmd_tune(args):
@@ -180,7 +198,6 @@ def cmd_tune(args):
     crone = _skeleton_from_spec(d)
     result = tune_arho(crone, (args.target_gain_slope, args.target_phase_slope),
                        delta=args.delta)
-    os.makedirs(args.out, exist_ok=True)
     man = Manifest("tune", args.out)
     # the placed ladder replaces the placement keys, which a cloc does not read
     tuned = {k: v for k, v in d.items() if k not in ("alpha", "n_pairs")}
@@ -188,21 +205,16 @@ def cmd_tune(args):
     tuned["poles_hz"] = tuple(to_hz(np.array(crone.poles)))
     tuned["zeros_hz"] = tuple(to_hz(np.array(crone.zeros)))
     tuned["gamma"] = result.gamma
-    spec_path = os.path.join(args.out, "tuned.spec")
-    emit_spec(tuned, spec_path)
-    man.add(spec_path)
-    report_path = os.path.join(args.out, "tune_report.txt")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(f"target: gain {args.target_gain_slope} dB/dec, "
-                 f"phase {args.target_phase_slope} deg/dec\n")
-        fh.write(f"gamma: {list(result.gamma)}\n")
-        fh.write(f"achieved: gain {result.gain_slope:.4f} dB/dec, "
-                 f"phase {result.phase_slope:.4f} deg/dec\n")
-        fh.write(f"objective: {result.objective:.6g}\n")
-        fh.write("best grid points (gamma -> objective):\n")
-        for g, o in result.top:
-            fh.write(f"  {list(g)} -> {o:.6g}\n")
-    man.add(report_path)
+    man.save(emit_spec, tuned, "tuned.spec")
+    man.text(f"target: gain {args.target_gain_slope} dB/dec, "
+             f"phase {args.target_phase_slope} deg/dec\n"
+             f"gamma: {list(result.gamma)}\n"
+             f"achieved: gain {result.gain_slope:.4f} dB/dec, "
+             f"phase {result.phase_slope:.4f} deg/dec\n"
+             f"objective: {result.objective:.6g}\n"
+             "best grid points (gamma -> objective):\n"
+             + "".join(f"  {list(g)} -> {o:.6g}\n" for g, o in result.top),
+             "tune_report.txt")
     man.write()
     print(f"tuned gamma = {list(result.gamma)}; achieved "
           f"({result.gain_slope:.2f} dB/dec, {result.phase_slope:.2f} deg/dec)")
@@ -217,8 +229,10 @@ _REFERENCES = {
 }
 
 
-def _run_scenario(name, spec, d, plant_tf, out_dir, man, tag=""):
-    """Scenario ``d`` for ``spec``, whose kp is normalized on plant_tf."""
+def _run_scenario(name, spec, d, plant_tf, man, subdir, tag=""):
+    """Scenario ``d`` for ``spec`` (kp normalized on plant_tf), written to
+    ``subdir``; a key it does not read is rejected before it simulates."""
+    d = _Reads(d)
     ref = d.get("reference", "step3um")
     if ref not in _REFERENCES:
         raise ValueError(f"unknown reference {ref!r}")
@@ -231,36 +245,28 @@ def _run_scenario(name, spec, d, plant_tf, out_dir, man, tag=""):
                     quantization=finite_number(d, "quantization_m", 100e-9),
                     noise_amplitude=finite_number(d, "noise_um", 0.0) * 1e-6,
                     noise_seed=int(d.get("seed", 0)))
+    d.reject_unread("a scenario")
     traj = generate_trajectory(kind, dist, dur, dt=dt, hold=hold)
-    ff = None
-    if feedforward:
-        ff = make_feedforward(plant_tf, 100.0 * spec.omega_c)
-    plant_ss = tf_to_ss(plant_tf)
+    ff = make_feedforward(plant_tf, 100.0 * spec.omega_c) if feedforward else None
     base = f"{tag}{name}_{ref}"
-    report_path = os.path.join(out_dir, f"{base}_metrics.txt")
     try:
-        res = simulate_closed_loop(plant_ss, spec, traj, cfg, feedforward=ff)
+        res = simulate_closed_loop(tf_to_ss(plant_tf), spec, traj, cfg,
+                                   feedforward=ff)
     except SimulationDiverged as exc:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(f"controller: {name}\nreference: {ref}\n")
-            fh.write(f"status: diverged at t = {exc.time:.4f} s "
-                     "(loop unstable in hybrid simulation)\n")
-        man.add(report_path)
-        return None, report_path
-    csv_path = os.path.join(out_dir, f"{base}.csv")
-    save_sim_csv(res, csv_path)
-    man.add(csv_path)
-    window = (0.0, 0.5) if kind == "step" else (0.0, dur + hold)
-    e_rms, e_max, overshoot = metrics(res, window)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(f"controller: {name}\nreference: {ref}\nstatus: ok\n")
-        fh.write(f"kp: {spec.kp!r}\n")
-        fh.write(f"e_rms_100nm: {float(e_rms / 1e-7)!r}\n")
-        fh.write(f"e_max_100nm: {float(e_max / 1e-7)!r}\n")
-        fh.write(f"overshoot: {overshoot!r}\n")
-        fh.write(f"resets: {res.n_resets}\n")
-    man.add(report_path)
-    return res, report_path
+        res, status = None, (f"diverged at t = {exc.time:.4f} s "
+                             "(loop unstable in hybrid simulation)\n")
+    else:
+        man.save(save_sim_csv, res, subdir, f"{base}.csv")
+        window = (0.0, 0.5) if kind == "step" else (0.0, dur + hold)
+        e_rms, e_max, overshoot = metrics(res, window)
+        status = (f"ok\nkp: {spec.kp!r}\n"
+                  f"e_rms_100nm: {float(e_rms / 1e-7)!r}\n"
+                  f"e_max_100nm: {float(e_max / 1e-7)!r}\n"
+                  f"overshoot: {overshoot!r}\n"
+                  f"resets: {res.n_resets}\n")
+    report = man.text(f"controller: {name}\nreference: {ref}\nstatus: {status}",
+                      subdir, f"{base}_metrics.txt")
+    return res, report
 
 
 def cmd_simulate(args):
@@ -274,9 +280,8 @@ def cmd_simulate(args):
         if not (isinstance(seed, float) and seed.is_integer()):
             raise ValueError(f"scenario seed must be an integer, got {seed!r}")
         d["seed"] = int(seed)
-    os.makedirs(args.out, exist_ok=True)
     man = Manifest("simulate", args.out, seed=d.get("seed"))
-    name = d["controller"]
+    name = d.pop("controller")
     if not isinstance(name, str):
         raise ValueError(f"controller must be a builtin name or a spec path, "
                          f"got {name!r}")
@@ -286,135 +291,100 @@ def cmd_simulate(args):
                          "no omega_c_hz")
     plant = stage_plant()
     spec = spec.with_kp(normalize_open_loop_gain(spec, plant, spec.omega_c))
-    res, report = _run_scenario(name, spec, d, plant, args.out, man)
+    res, report = _run_scenario(name, spec, d, plant, man, "")
     man.write()
     print(f"wrote {report}")
     return 0 if res is not None else 3
 
 
 def cmd_reproduce(args):
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    man = Manifest("reproduce", out, seed=args.seed)
+    man = Manifest("reproduce", args.out, seed=args.seed)
     plant_tf = stage_plant()
     plant_resp = load_frf(args.plant) if args.plant else None
     builtins = _builtin_specs()
 
     try:
         # resetting-integrator harmonics, orders 1..11
-        d1 = os.path.join(out, "01_clegg_harmonics")
-        os.makedirs(d1, exist_ok=True)
-        _write_harmonic_files(d1, builtins["clegg"], log_grid(0.01, 100.0, 20),
-                              range(1, 12), man)
+        _write_harmonic_files(man, "01_clegg_harmonics", builtins["clegg"],
+                              log_grid(0.01, 100.0, 20), range(1, 12))
 
         # constant-gain lead-phase stage: reset vs no-reset limit
-        d2 = os.path.join(out, "02_cglp_lead")
-        os.makedirs(d2, exist_ok=True)
         grid = log_grid(1.0, 1000.0, 30)
         for tag in ("cglp-fore", "cglp-sore"):
-            p1 = os.path.join(d2, f"{tag}_reset.csv")
-            _write_response_csv(p1, grid, controller_harmonic(
-                build_controller(builtins[tag]), grid, 1))
-            p2 = os.path.join(d2, f"{tag}_linear.csv")
-            _write_response_csv(p2, grid, _linear_values(builtins[tag], grid))
-            man.add(p1)
-            man.add(p2)
+            vals = controller_harmonic(build_controller(builtins[tag]), grid, 1)
+            man.save(save_response, FrequencyResponse(grid, vals),
+                     "02_cglp_lead", f"{tag}_reset.csv")
+            man.save(save_response, _linear_response(builtins[tag], grid),
+                     "02_cglp_lead", f"{tag}_linear.csv")
 
         # complex-order ladder filters: reset vs linear + slope report
-        d3 = os.path.join(out, "03_ladder_filters")
-        os.makedirs(d3, exist_ok=True)
-        slopes_path = os.path.join(d3, "slopes.txt")
-        with open(slopes_path, "w", encoding="utf-8") as fh:
-            for name in ("cloc-1", "cloc-2"):
-                d = builtins[name]
-                grid = log_grid(1.0, 5000.0, 50)
-                vals = controller_harmonic(build_controller(d), grid, 1)
-                # strip PI and low-pass to leave the bare filter
-                pi = pi_stage(hz(d["omega_i_hz"]))
-                lpf_vals = (pi(1j * grid)
-                            * first_order_lag(hz(d["omega_f_hz"]))(1j * grid))
-                filt_vals = vals / lpf_vals
-                p1 = os.path.join(d3, f"{name.replace('-', '')}_filter_reset.csv")
-                _write_response_csv(p1, grid, filt_vals)
-                man.add(p1)
-                crone = CroneApprox(tuple(hz(np.array(d["zeros_hz"]))),
-                                    tuple(hz(np.array(d["poles_hz"]))), 1.0)
-                fit = slope_estimate(HarmonicResponse(grid, 1, filt_vals),
-                                     fit_band(crone))
-                fh.write(f"{name}: gain {fit.gain_slope:.3f} dB/dec, "
-                         f"phase {fit.phase_slope:.3f} deg/dec over trimmed "
-                         f"band\n")
-        man.add(slopes_path)
+        grid = log_grid(1.0, 5000.0, 50)
+        slopes = ""
+        for name in ("cloc-1", "cloc-2"):
+            d = builtins[name]
+            vals = controller_harmonic(build_controller(d), grid, 1)
+            # strip PI and low-pass to leave the bare filter
+            filt_vals = vals / (pi_stage(hz(d["omega_i_hz"]))(1j * grid)
+                                * first_order_lag(hz(d["omega_f_hz"]))(1j * grid))
+            man.save(save_response, FrequencyResponse(grid, filt_vals),
+                     "03_ladder_filters",
+                     f"{name.replace('-', '')}_filter_reset.csv")
+            fit = slope_estimate(HarmonicResponse(grid, 1, filt_vals),
+                                 fit_band(_skeleton_from_spec(d)))
+            slopes += (f"{name}: gain {fit.gain_slope:.3f} dB/dec, "
+                       f"phase {fit.phase_slope:.3f} deg/dec over trimmed "
+                       f"band\n")
+        man.text(slopes, "03_ladder_filters", "slopes.txt")
 
         # controller spec round trip
-        d4 = os.path.join(out, "04_controller_specs")
-        os.makedirs(d4, exist_ok=True)
         for name in SUITE:
-            path = os.path.join(d4, f"{name}.spec")
-            emit_spec(builtins[name], path)
+            path = man.save(emit_spec, builtins[name],
+                            "04_controller_specs", f"{name}.spec")
             reparsed = parse_spec(path)
             if reparsed != builtins[name]:
                 raise ValueError(f"spec round-trip mismatch for {name}")
             build_controller(reparsed)  # must rebuild cleanly
-            man.add(path)
 
         # open-loop first harmonics + crossover report
-        d5 = os.path.join(out, "05_open_loop")
-        os.makedirs(d5, exist_ok=True)
         # each design normalized once per plant, used by every later stage
         suite = build_benchmark_suite(plant_tf)
         plant_for_loop = plant_resp if plant_resp is not None else plant_tf
         loop_suite = suite if plant_resp is None else build_benchmark_suite(plant_resp)
         grid = log_grid(1.0, 2000.0, 50)
-        pm_path = os.path.join(d5, "crossover_pm.txt")
-        views = {}
-        with open(pm_path, "w", encoding="utf-8") as fh:
-            for name, spec in loop_suite.items():
-                view = open_loop_view(spec, plant_for_loop, grid)
-                views[name] = view
-                path = os.path.join(d5, f"{name}.csv")
-                save_open_loop_csv(view, path)
-                man.add(path)
-                wc, pm = crossover_pm(view)
-                fh.write(f"{name}: crossover {to_hz(wc):.3f} Hz, "
-                         f"phase margin {pm:.3f} deg, kp {spec.kp!r}\n")
-        man.add(pm_path)
+        views, report = {}, ""
+        for name, spec in loop_suite.items():
+            views[name] = view = open_loop_view(spec, plant_for_loop, grid)
+            man.save(save_open_loop_csv, view, "05_open_loop", f"{name}.csv")
+            wc, pm = crossover_pm(view)
+            report += (f"{name}: crossover {to_hz(wc):.3f} Hz, "
+                       f"phase margin {pm:.3f} deg, kp {spec.kp!r}\n")
+        man.text(report, "05_open_loop", "crossover_pm.txt")
 
         # normalized third harmonic
-        d7 = os.path.join(out, "07_normalized_third")
-        os.makedirs(d7, exist_ok=True)
         for name in SUITE:
-            if name == "pid":
-                continue
-            path = os.path.join(d7, f"{name}.csv")
-            save_normalized_third_csv(views[name], path)
-            man.add(path)
+            if name != "pid":
+                man.save(save_normalized_third_csv, views[name],
+                         "07_normalized_third", f"{name}.csv")
 
         # step responses (hybrid simulation; instability is a result)
-        d6 = os.path.join(out, "06_step_responses")
-        os.makedirs(d6, exist_ok=True)
         for name, spec in suite.items():
             _run_scenario(name, spec, {"reference": "step3um", "seed": args.seed},
-                          plant_tf, d6, man)
+                          plant_tf, man, "06_step_responses")
 
         # tracking and noise metrics, simulation only
-        d8 = os.path.join(out, "08_tracking_metrics")
-        os.makedirs(d8, exist_ok=True)
-        note = os.path.join(d8, "README.txt")
-        with open(note, "w", encoding="utf-8") as fh:
-            fh.write("Simulated closed-loop metrics on the bundled plant "
-                     "model -- simulation, not hardware.\n")
-        man.add(note)
+        man.text("Simulated closed-loop metrics on the bundled plant "
+                 "model -- simulation, not hardware.\n",
+                 "08_tracking_metrics", "README.txt")
         for name, spec in suite.items():
             for ref in ("ref1", "ref2", "ref3"):
                 _run_scenario(name, spec, {"reference": ref, "seed": args.seed},
-                              plant_tf, d8, man)
+                              plant_tf, man, "08_tracking_metrics")
                 _run_scenario(name, spec, {"reference": ref, "seed": args.seed,
                                            "feedforward": True},
-                              plant_tf, d8, man, tag="ff_")
+                              plant_tf, man, "08_tracking_metrics", "ff_")
             _run_scenario(name, spec, {"reference": "step3um", "noise_um": 2.0,
                                        "seed": args.seed + 17},
-                          plant_tf, d8, man, tag="noise_")
+                          plant_tf, man, "08_tracking_metrics", "noise_")
     except ArithmeticError as exc:
         # numerical failure (exit 3); input errors reach main (exit 2)
         print(f"reproduce aborted: {exc}", file=sys.stderr)

@@ -56,6 +56,9 @@ def log_grid(fmin_hz, fmax_hz, points_per_decade=POINTS_PER_DECADE):
     """
     if not (0 < fmin_hz < fmax_hz < np.inf):
         raise ValueError(f"need 0 < fmin_hz < fmax_hz < inf, got {fmin_hz}, {fmax_hz}")
+    if hz(fmax_hz) < OMEGA_FLOOR:
+        raise ValueError(f"fmax_hz must reach the grid floor "
+                         f"{to_hz(OMEGA_FLOOR):.3g} Hz, got {fmax_hz}")
     if not points_per_decade >= 1:
         raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade}")
     lo, hi = np.log10(hz(fmin_hz)), np.log10(hz(fmax_hz))

@@ -136,15 +136,22 @@ def _one_gamma(d, default=None) -> float:
 
 
 class _Reads(dict):
-    """A spec dict that records the keys looked up in it with ``get``."""
+    """A dict that records the keys looked up in it with ``get``."""
 
     def __init__(self, d):
         super().__init__(d)
-        self.read = {"kind", "label", "kp"}
+        self.read = set()
 
     def get(self, key, default=None):
         self.read.add(key)
         return super().get(key, default)
+
+    def reject_unread(self, owner):
+        """ValueError naming every key that ``get`` never looked up."""
+        unread = sorted(set(self) - self.read)
+        if unread:
+            raise ValueError(f"{owner} does not take key(s) "
+                             f"{', '.join(map(repr, unread))}")
 
 
 def build_controller(d: dict) -> ControllerSpec:
@@ -203,10 +210,8 @@ def build_controller(d: dict) -> ControllerSpec:
             **omegas(*loop, *band))
     else:
         raise ValueError(f"unknown controller kind {kind!r}")
-    unread = sorted(set(d) - d.read)
-    if unread:
-        raise ValueError(f"kind {kind!r} does not take key(s) "
-                         f"{', '.join(map(repr, unread))}")
+    d.read.update(("kind", "label"))   # kind read by index, label below
+    d.reject_unread(f"kind {kind!r}")
     spec.label = d.get("label") or kind
     if not isinstance(spec.label, str):
         raise ValueError(f"label must be text, got {spec.label!r}")

@@ -30,6 +30,21 @@ def _read_manifest(path):
     return entries
 
 
+def _assert_manifest_complete(out):
+    """The files under ``out``, bar manifest.txt, are exactly the
+    manifest's entries, each listed once with its sha256."""
+    listed = [line.split(None, 1) for line in
+              (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+              if not line.startswith("#")]
+    rels = [rel for _, rel in listed]
+    assert len(rels) == len(set(rels)), rels
+    on_disk = {path.relative_to(out).as_posix() for path in out.rglob("*")
+               if path.is_file()}
+    assert on_disk - {"manifest.txt"} == set(rels)
+    for digest, rel in listed:
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+
 def test_df_writes_harmonics_and_manifest(tmp_path):
     out = tmp_path / "df"
     rc = main(["df", "clegg", "--fmin-hz", "0.01", "--fmax-hz", "100",
@@ -38,9 +53,7 @@ def test_df_writes_harmonics_and_manifest(tmp_path):
     entries = _read_manifest(out / "manifest.txt")
     assert set(entries) == {"harmonic_01.csv", "harmonic_02.csv",
                             "harmonic_03.csv"}
-    for rel, digest in entries.items():
-        data = (out / rel).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+    _assert_manifest_complete(out)
     even = (out / "harmonic_02.csv").read_text()
     assert "exactly zero" in even
     assert len(even.splitlines()) == 2   # header + stub comment
@@ -53,6 +66,8 @@ def test_df_gamma_one_matches_bode(tmp_path):
     out_bode = tmp_path / "bode"
     assert main(["df", str(spec), "--harmonics", "1", "--out", str(out_df)]) == 0
     assert main(["bode", str(spec), "--out", str(out_bode)]) == 0
+    _assert_manifest_complete(out_df)
+    _assert_manifest_complete(out_bode)
     df_rows = np.loadtxt(out_df / "harmonic_01.csv", delimiter=",",
                          skiprows=1, usecols=(0, 2, 3))
     bode_rows = np.loadtxt(out_bode / "bode.csv", delimiter=",", skiprows=1)
@@ -70,6 +85,7 @@ def test_tune_command(tmp_path):
     assert "best grid points" in report
     tuned = (out / "tuned.spec").read_text()
     assert "gamma" in tuned
+    _assert_manifest_complete(out)
 
 
 def test_tune_degenerate_delta(tmp_path):
@@ -111,6 +127,7 @@ def test_simulate_stable_scenario(tmp_path):
     assert "status: ok" in report
     csv = (out / "pid_step3um.csv").read_text().splitlines()
     assert csv[0] == "t_s,r_m,y_m,e_m,u"
+    _assert_manifest_complete(out)
 
 
 def test_simulate_divergent_scenario_exits_3(tmp_path):
@@ -121,6 +138,7 @@ def test_simulate_divergent_scenario_exits_3(tmp_path):
     assert rc == 3
     report = (out / "cloc-2_step3um_metrics.txt").read_text()
     assert "diverged" in report
+    _assert_manifest_complete(out)
 
 
 def test_missing_scenario_is_input_error(tmp_path):
@@ -145,6 +163,7 @@ def test_reproduce_is_deterministic(tmp_path):
     m2 = _read_manifest(out2 / "manifest.txt")
     assert m1 == m2
     assert len(m1) > 50
+    _assert_manifest_complete(out1)
 
 
 def test_reproduce_with_frf_plant(tmp_path):
@@ -157,6 +176,7 @@ def test_reproduce_with_frf_plant(tmp_path):
     assert rc == 0
     pm = (out / "05_open_loop" / "crossover_pm.txt").read_text()
     assert "crossover 15" in pm  # still lands at ~150 Hz on the frf
+    _assert_manifest_complete(out)
 
 
 @pytest.mark.parametrize("with_plant, calls", [(False, 5), (True, 10)])
@@ -440,6 +460,23 @@ def test_simulate_rejects_malformed_scenario_values(tmp_path, line):
     assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "noise_uM = 2.0", "bogus = 1", "kind = pid", "label = run", "kp = 2.0",
+])
+def test_simulate_rejects_unknown_scenario_keys(tmp_path, monkeypatch, capsys,
+                                                line):
+    import resetloop.cli
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("simulated a scenario with an unknown key")
+
+    monkeypatch.setattr(resetloop.cli, "simulate_closed_loop", simulated)
+    scen = tmp_path / "s.spec"
+    scen.write_text(f"controller = pid\nreference = step3um\n{line}\n")
+    assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+
+
 def test_simulate_rejects_a_step_too_coarse_for_the_run(tmp_path, capsys):
     scen = tmp_path / "s.spec"
     scen.write_text("controller = pid\nreference = step3um\ndt_s = 0.1\n")
@@ -511,6 +548,25 @@ def test_df_rejects_harmonic_orders_below_one(tmp_path, order, capsys):
     assert main(["df", "clegg", "--harmonics", "1", order, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "--harmonics" in err and "hosidf" not in err
+    assert not out.exists()
+
+
+def test_df_rejects_repeated_harmonic_orders(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["df", "fore", "--harmonics", "1", "1", "3",
+                 "--out", str(out)]) == 2
+    assert "--harmonics repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["df", "bode"])
+def test_band_below_the_grid_floor_is_an_input_error(tmp_path, command, capsys):
+    # every point would fall below OMEGA_FLOOR: no grid, not an empty result
+    out = tmp_path / "o"
+    assert main([command, "clegg", "--fmin-hz", "1e-6", "--fmax-hz", "1e-5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fmax_hz" in err
     assert not out.exists()
 
 
