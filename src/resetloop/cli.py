@@ -89,9 +89,8 @@ def _linear_response(d, grid) -> FrequencyResponse:
     return FrequencyResponse(grid, controller_harmonic(spec, grid, 1))
 
 
-def _write_harmonic_files(man, subdir, d, grid, orders):
+def _write_harmonic_files(man, subdir, spec, grid, orders):
     """harmonic_NN.csv per order in ``subdir`` (even orders are exact zeros)."""
-    spec = build_controller(d)
     for n in orders:
         path = man.path(subdir, f"harmonic_{n:02d}.csv")
         values = controller_harmonic(spec, grid, n)
@@ -156,20 +155,20 @@ def cmd_df(args):
                          f"got {min(args.harmonics)}")
     if len(set(args.harmonics)) < len(args.harmonics):
         raise ValueError(f"--harmonics repeats an order: {args.harmonics}")
-    d = _load_spec(args.spec)
+    spec = build_controller(_load_spec(args.spec))
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
     man = Manifest("df", args.out)
-    _write_harmonic_files(man, "", d, grid, args.harmonics)
+    _write_harmonic_files(man, "", spec, grid, args.harmonics)
     man.write()
     print(f"wrote {len(args.harmonics)} harmonic file(s) to {args.out}")
     return 0
 
 
 def cmd_bode(args):
-    d = _load_spec(args.spec)
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
+    response = _linear_response(_load_spec(args.spec), grid)
     man = Manifest("bode", args.out)
-    path = man.save(save_response, _linear_response(d, grid), "bode.csv")
+    path = man.save(save_response, response, "bode.csv")
     man.write()
     print(f"wrote {path}")
     return 0
@@ -229,9 +228,9 @@ _REFERENCES = {
 }
 
 
-def _run_scenario(name, spec, d, plant_tf, man, subdir, tag=""):
-    """Scenario ``d`` for ``spec`` (kp normalized on plant_tf), written to
-    ``subdir``; a key it does not read is rejected before it simulates."""
+def _scenario(d):
+    """The run a scenario dict asks for: (reference name, SimConfig,
+    feedforward flag); a key it does not read is rejected."""
     d = _Reads(d)
     ref = d.get("reference", "step3um")
     if ref not in _REFERENCES:
@@ -239,14 +238,20 @@ def _run_scenario(name, spec, d, plant_tf, man, subdir, tag=""):
     feedforward = d.get("feedforward", False)
     if not isinstance(feedforward, bool):
         raise ValueError(f"feedforward must be true or false, got {feedforward!r}")
-    kind, dist, dur, hold = _REFERENCES[ref]
-    dt = finite_number(d, "dt_s", 1e-4)
-    cfg = SimConfig(dt=dt,
+    cfg = SimConfig(dt=finite_number(d, "dt_s", 1e-4),
                     quantization=finite_number(d, "quantization_m", 100e-9),
                     noise_amplitude=finite_number(d, "noise_um", 0.0) * 1e-6,
                     noise_seed=int(d.get("seed", 0)))
     d.reject_unread("a scenario")
-    traj = generate_trajectory(kind, dist, dur, dt=dt, hold=hold)
+    return ref, cfg, feedforward
+
+
+def _run_scenario(name, spec, scenario, plant_tf, man, subdir, tag=""):
+    """The _scenario ``scenario`` for ``spec`` (kp normalized on plant_tf),
+    written to ``subdir``."""
+    ref, cfg, feedforward = scenario
+    kind, dist, dur, hold = _REFERENCES[ref]
+    traj = generate_trajectory(kind, dist, dur, dt=cfg.dt, hold=hold)
     ff = make_feedforward(plant_tf, 100.0 * spec.omega_c) if feedforward else None
     base = f"{tag}{name}_{ref}"
     try:
@@ -280,7 +285,6 @@ def cmd_simulate(args):
         if not (isinstance(seed, float) and seed.is_integer()):
             raise ValueError(f"scenario seed must be an integer, got {seed!r}")
         d["seed"] = int(seed)
-    man = Manifest("simulate", args.out, seed=d.get("seed"))
     name = d.pop("controller")
     if not isinstance(name, str):
         raise ValueError(f"controller must be a builtin name or a spec path, "
@@ -289,23 +293,26 @@ def cmd_simulate(args):
     if spec.omega_c is None:
         raise ValueError(f"{name!r} is not a loop controller: its spec has "
                          "no omega_c_hz")
+    scenario = _scenario(d)
     plant = stage_plant()
     spec = spec.with_kp(normalize_open_loop_gain(spec, plant, spec.omega_c))
-    res, report = _run_scenario(name, spec, d, plant, man, "")
+    man = Manifest("simulate", args.out, seed=d.get("seed"))
+    res, report = _run_scenario(name, spec, scenario, plant, man, "")
     man.write()
     print(f"wrote {report}")
     return 0 if res is not None else 3
 
 
 def cmd_reproduce(args):
+    plant_resp = load_frf(args.plant) if args.plant else None
     man = Manifest("reproduce", args.out, seed=args.seed)
     plant_tf = stage_plant()
-    plant_resp = load_frf(args.plant) if args.plant else None
     builtins = _builtin_specs()
 
     try:
         # resetting-integrator harmonics, orders 1..11
-        _write_harmonic_files(man, "01_clegg_harmonics", builtins["clegg"],
+        _write_harmonic_files(man, "01_clegg_harmonics",
+                              build_controller(builtins["clegg"]),
                               log_grid(0.01, 100.0, 20), range(1, 12))
 
         # constant-gain lead-phase stage: reset vs no-reset limit
@@ -368,7 +375,8 @@ def cmd_reproduce(args):
 
         # step responses (hybrid simulation; instability is a result)
         for name, spec in suite.items():
-            _run_scenario(name, spec, {"reference": "step3um", "seed": args.seed},
+            _run_scenario(name, spec,
+                          _scenario({"reference": "step3um", "seed": args.seed}),
                           plant_tf, man, "06_step_responses")
 
         # tracking and noise metrics, simulation only
@@ -377,13 +385,16 @@ def cmd_reproduce(args):
                  "08_tracking_metrics", "README.txt")
         for name, spec in suite.items():
             for ref in ("ref1", "ref2", "ref3"):
-                _run_scenario(name, spec, {"reference": ref, "seed": args.seed},
+                _run_scenario(name, spec,
+                              _scenario({"reference": ref, "seed": args.seed}),
                               plant_tf, man, "08_tracking_metrics")
-                _run_scenario(name, spec, {"reference": ref, "seed": args.seed,
-                                           "feedforward": True},
+                _run_scenario(name, spec,
+                              _scenario({"reference": ref, "seed": args.seed,
+                                         "feedforward": True}),
                               plant_tf, man, "08_tracking_metrics", "ff_")
-            _run_scenario(name, spec, {"reference": "step3um", "noise_um": 2.0,
-                                       "seed": args.seed + 17},
+            _run_scenario(name, spec,
+                          _scenario({"reference": "step3um", "noise_um": 2.0,
+                                     "seed": args.seed + 17}),
                           plant_tf, man, "08_tracking_metrics", "noise_")
     except ArithmeticError as exc:
         # numerical failure (exit 3); input errors reach main (exit 2)

@@ -300,13 +300,15 @@ def _frequency_matrices(A, grid):
 def _check_resolvent(E, g, bound, grid):
     """Guard the jump resolvent I + diag(g) E.  ``bound`` (F, G), or (F, 1)
     for one per frequency, bounds its cond_2 from above at each point; the
-    exact value is computed only where the bound fails (or is NaN)."""
+    exact value is computed only where the bound fails (or is NaN), in
+    blocks of _BLOCK_POINTS in (omega, map) order."""
     fail = ~(bound <= _COND_LIMIT)
     if not fail.any():
         return
     f, k = np.nonzero(np.broadcast_to(fail, (E.shape[0], g.shape[0])))
-    M = np.eye(E.shape[-1]) + g[k][:, :, None] * E[f]
-    _guard(np.linalg.cond(M), grid[f], "I + A_R e^(pi A/omega)")
+    for b in (slice(p, p + _BLOCK_POINTS) for p in range(0, f.size, _BLOCK_POINTS)):
+        M = np.eye(E.shape[-1]) + g[k[b]][:, :, None] * E[f[b]]
+        _guard(np.linalg.cond(M), grid[f[b]], "I + A_R e^(pi A/omega)")
 
 
 def _product_grid(axes):
@@ -333,27 +335,20 @@ def _grid_factors(gammas, n):
     return factors + [np.ones((1,) * factors[0].ndim)] * (n - n_r)
 
 
-def _solve_lower(E, g, factors, m, grid):
-    """Solve (I + diag(g) E) x = diag(g) m for lower-triangular E by forward
-    substitution, elementwise on (F, *batch) arrays in the layout of the
-    _grid_factors ``factors``; returns x as n such arrays, x_i shaped by
-    factors 1..i.  One bound per frequency screens the batch: with c_i =
-    max |g_i| and d_i = min |1 + g_i e_ii| over it, every map M has
-    |M^-1| <= W^-1 for W = diag(d) - diag(c) |tril(E, -1)|
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 8.3)
-    and |M| <= I + diag(c) |E|: cond_2(M) <= ||I + diag(c)|E| ||_F ||W^-1||_F."""
-    n, pad = E.shape[-1], (1,) * factors[0].ndim
-    e = E.reshape(E.shape + pad)   # e[:, i, j] is (F, 1, ..) and broadcasts
+def _resolvent_bound(E, factors):
+    """Upper bounds (F,) on cond_2 of the jump resolvent I + diag(g) E, one
+    per frequency covering every map in the batch of the _grid_factors
+    ``factors`` (lower-triangular E).  With c_i = max |g_i| and
+    d_i = min |1 + g_i e_ii| over the batch, every map M has |M^-1| <= W^-1
+    for W = diag(d) - diag(c) |tril(E, -1)| (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 8.3) and |M| <= I + diag(c) |E|:
+    cond_2(M) <= ||I + diag(c)|E| ||_F ||W^-1||_F."""
+    n = E.shape[-1]
     a = np.array([np.abs(f).max() for f in factors])[:, None] * np.abs(E)   # diag(c) |E|
     with np.errstate(divide="ignore", invalid="ignore"):
-        diag = [1.0 + f * e[:, i, i] for i, f in enumerate(factors)]
-        scale = [f * (1.0 / d) for f, d in zip(factors, diag)]
-        x = []
-        for i in range(n):
-            x.append(scale[i] * (m[:, i].reshape(-1, *pad)
-                                 - sum(e[:, i, j] * x[j] for j in range(i))))
+        d = [np.abs(1.0 + f.ravel() * E[:, i, i, None]).min(axis=1)
+             for i, f in enumerate(factors)]
         # W^-1 column by column, elementwise on (F,) arrays
-        d = [np.abs(di).reshape(len(di), -1).min(axis=1) for di in diag]
         norm_inv = 0.0
         for k in range(n):
             col = [1.0 / d[k]]
@@ -362,8 +357,22 @@ def _solve_lower(E, g, factors, m, grid):
             norm_inv = norm_inv + sum(y * y for y in col)
         norm_m = sum((float(i == j) + a[:, i, j]) ** 2
                      for i in range(n) for j in range(i + 1))
-        bound = np.sqrt(norm_m * norm_inv)
-    _check_resolvent(E, g, bound[:, None], grid)
+        return np.sqrt(norm_m * norm_inv)
+
+
+def _solve_lower(E, factors, m):
+    """Solve (I + diag(g) E) x = diag(g) m for lower-triangular E by forward
+    substitution, elementwise on (F, *batch) arrays in the layout of the
+    _grid_factors ``factors``; returns x as n such arrays, x_i shaped by
+    factors 1..i.  The caller screens the resolvent (_resolvent_bound)."""
+    n, pad = E.shape[-1], (1,) * factors[0].ndim
+    e = E.reshape(E.shape + pad)   # e[:, i, j] is (F, 1, ..) and broadcasts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = [f * (1.0 / (1.0 + f * e[:, i, i])) for i, f in enumerate(factors)]
+        x = []
+        for i in range(n):
+            x.append(scale[i] * (m[:, i].reshape(-1, *pad)
+                                 - sum(e[:, i, j] * x[j] for j in range(i))))
     return x
 
 
@@ -403,8 +412,8 @@ def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
         # the linear part solves against B, the same route as StateSpace(s)
         out[k] = (base.C @ _shifted_solve(A, 1j * grid, base.B)[..., None]
                   + base.D)[:, 0] if order == 1 else 0.0
-    identity = np.all(gammas == 1.0, axis=1)
-    if n_r == 0 or identity.all():
+    identity = np.flatnonzero(np.all(gammas == 1.0, axis=1))
+    if n_r == 0 or identity.size == G:
         return out.transpose(0, 2, 1)
     E, lam = _frequency_matrices(A, grid)
     delta = np.eye(n) + E
@@ -416,11 +425,13 @@ def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
     g = np.ones((G, n))
     g[:, :n_r] = gammas
     lower = not np.triu(A, 1).any()
-    factors = _grid_factors(gammas, n) if lower else None
+    if lower:   # one screen for the whole call: the bound is per frequency
+        factors = _grid_factors(gammas, n)
+        _check_resolvent(E, g, _resolvent_bound(E, factors)[:, None], grid)
     pad = (1,) * factors[0].ndim if lower else (1,)
     step = max(1, _BLOCK_POINTS // G)
     for fs in (slice(f0, f0 + step) for f0 in range(0, F, step)):
-        x = (_solve_lower(E[fs], g, factors, m[fs], grid[fs]) if lower
+        x = (_solve_lower(E[fs], factors, m[fs]) if lower
              else _solve_general(E[fs], g, m[fs], grid[fs]))
         y = [x[i] - lam_b[fs, i].reshape(-1, *pad) for i in range(n)]
         for k, q in enumerate(qs):
@@ -494,7 +505,9 @@ def harmonic_spectrum(rs: ResetSystem, grid, n_max: int):
 def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.ndarray:
     """First-harmonic gains for many gamma vectors at once.
 
-    ``gammas`` is (G, n_r); returns a (G, len(grid)) complex array.  The
+    ``gammas`` is (G, n_r); returns a (G, len(grid)) complex array, the
+    transpose of a C-contiguous (len(grid), G) array (only speed depends on
+    that: a caller can walk it one frequency row at a time).  The
     frequency-only work is shared by the whole batch, which is what makes
     exhaustive reset-map tuning affordable.
     """

@@ -278,11 +278,15 @@ def _tune_scorer(crone: CroneApprox, target):
     tail = np.degrees(np.cumsum(pinv_row[::-1])[-2::-1])
 
     def score(gammas):
-        vals = describing_function_gamma_batch(linear.c_r.base, n, gammas, grid) * lin_vals
-        # row sums: BLAS gemv would round each row by the batch it is in
-        gs = (20.0 * np.log10(np.abs(vals)) * pinv_row).sum(axis=1)
-        vals[:, 1:] *= vals[:, :-1].conj()   # the phase increments
-        ps = (np.angle(vals[:, 1:]) * tail).sum(axis=1)
+        # one frequency row (G,) at a time, in place in the kernel's (F, G)
+        # output: each map's sums run in frequency order whatever the batch
+        rows = describing_function_gamma_batch(linear.c_r.base, n, gammas, grid).T
+        gs, ps = np.zeros(len(gammas)), np.zeros(len(gammas))
+        for f, row in enumerate(rows):
+            row *= lin_vals[f]
+            gs += 20.0 * np.log10(np.abs(row)) * pinv_row[f]
+            if f:   # the phase increment from the previous frequency
+                ps += np.angle(row * rows[f - 1].conj()) * tail[f - 1]
         return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
     return score
 
@@ -309,15 +313,17 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
         its smallest gamma among exact ties as the axes ascend."""
         lengths = [len(a) for a in axes]
         s = next(i for i in range(len(axes)) if math.prod(lengths[i + 1:]) <= TUNE_CHUNK_POINTS)
-        take, objs = TUNE_CHUNK_POINTS // math.prod(lengths[s + 1:]), []
+        take = TUNE_CHUNK_POINTS // math.prod(lengths[s + 1:])
+        objs, done = np.empty(math.prod(lengths)), 0
         for lead in itertools.product(*axes[:s]):
             for j in range(0, lengths[s], take):
                 sub = [*([v] for v in lead), axes[s][j:j + take], *axes[s + 1:]]
                 gammas, obj, gs, ps = score(_product_grid(sub))
                 i = int(np.argmin(obj))
                 best.append((obj[i], tuple(gammas[i]), gs[i], ps[i]))
-                objs.append(obj)
-        return np.concatenate(objs)
+                objs[done:done + obj.size] = obj   # no list of chunks to fragment the heap
+                done += obj.size
+        return objs
 
     obj = scores(coarse)
     # by objective; the flat index is in gamma order, so ties stay sorted

@@ -303,6 +303,7 @@ def test_reproduce_rejects_fuzzed_frf_files(tmp_path_factory, data):
                    "--plant", str(frf_path)])
     assert rc == 2, data
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+    assert not (tmp / "rep").exists()
 
 
 def test_cold_start_does_not_import_scipy_optimize(tmp_path):
@@ -475,6 +476,17 @@ def test_simulate_rejects_unknown_scenario_keys(tmp_path, monkeypatch, capsys,
     scen.write_text(f"controller = pid\nreference = step3um\n{line}\n")
     assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
     assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["df", "bode"])
+def test_misspelt_spec_key_writes_nothing(tmp_path, command, capsys):
+    spec = tmp_path / "f.spec"
+    spec.write_text("kind = fore\nomega_r_hz = 10.0\ngama = 0.5\n")
+    out = tmp_path / "o"
+    assert main([command, str(spec), "--out", str(out)]) == 2
+    assert "'gama'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_rejects_a_step_too_coarse_for_the_run(tmp_path, capsys):

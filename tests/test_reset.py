@@ -293,6 +293,24 @@ def test_product_grid_raises_the_per_spec_singular_error():
     assert str(batch.value) == str(single.value)
 
 
+def test_one_resolvent_screen_covers_every_frequency_block(monkeypatch):
+    # one frequency per block; at 1e17 rad/s e_11 rounds to 1, so the maps
+    # with gamma_1 = -1 are singular there and nowhere before it
+    base = lag_chain([1.0, 10.0], [0.0, 0.0]).base
+    gammas = np.array(list(itertools.product([-1.0, 0.0, 0.5], [0.0, 1.0])))
+    grid = np.array([1.0, 2.0, 4.0, 1e17, 2e17])
+    fine = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    default = describing_function_gamma_batch(base, 2, gammas, fine)
+    monkeypatch.setattr(resetloop.reset, "_BLOCK_POINTS", len(gammas))
+    with pytest.raises(SingularFrequencyError, match="singular at omega = 1e[+]17 ") as batch:
+        describing_function_gamma_batch(base, 2, gammas, grid)
+    with pytest.raises(SingularFrequencyError) as single:
+        describing_function(ResetSystem(base, 2, gammas[0]), grid)
+    assert batch.value.omega == single.value.omega == 1e17
+    assert str(batch.value) == str(single.value)
+    assert np.array_equal(describing_function_gamma_batch(base, 2, gammas, fine), default)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_gamma_one_describing_function_is_freq_response(seed):
     rng = np.random.default_rng(seed)

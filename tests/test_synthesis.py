@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,28 @@ def test_tune_scores_match_the_unwrap_reference(cloc1_ladder, monkeypatch):
     assert result.gamma == ref.gamma
     assert [g for g, _ in result.top] == [g for g, _ in ref.top]
     assert result.objective == pytest.approx(ref.objective, rel=1e-12)
+
+
+def test_tune_score_peaks_near_the_kernel_output(cloc1_ladder, monkeypatch):
+    # the scorer reduces the kernel's (F, G) output a frequency row at a
+    # time, so one score of the coarse 21^3 chunk stays near that array
+    gammas = _product_grid([_gamma_grid_values(0.1)] * 3)
+    score = _tune_scorer(cloc1_ladder, (-10.0, 125.0))
+    sizes = []
+    batch = resetloop.synthesis.describing_function_gamma_batch
+
+    def spy(base, n_r, gammas, grid):
+        sizes.append(grid.size)
+        return batch(base, n_r, gammas, grid)
+    monkeypatch.setattr(resetloop.synthesis, "describing_function_gamma_batch", spy)
+    score(gammas)
+    tracemalloc.start()
+    try:
+        score(gammas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * len(gammas) * sizes[0] * 16
 
 
 def test_tuner_result_does_not_depend_on_the_chunk_size(cloc1_ladder, monkeypatch):
