@@ -92,10 +92,9 @@ def _linear_response(d, grid) -> FrequencyResponse:
 def _write_harmonic_files(man, subdir, spec, grid, orders):
     """harmonic_NN.csv per order in ``subdir`` (even orders are exact zeros)."""
     for n in orders:
-        path = man.path(subdir, f"harmonic_{n:02d}.csv")
-        values = controller_harmonic(spec, grid, n)
-        save_harmonics(path, [HarmonicResponse(grid, n, values)])
-        man.add(path)
+        man.save(save_harmonics,
+                 [HarmonicResponse(grid, n, controller_harmonic(spec, grid, n))],
+                 subdir, f"harmonic_{n:02d}.csv")
 
 
 class Manifest:
@@ -229,8 +228,8 @@ _REFERENCES = {
 
 
 def _scenario(d):
-    """The run a scenario dict asks for: (reference name, SimConfig,
-    feedforward flag); a key it does not read is rejected."""
+    """(reference name, SimConfig, feedforward flag) of a scenario dict; an
+    unread key, or a seed that is not an int or an integral float, is rejected."""
     d = _Reads(d)
     ref = d.get("reference", "step3um")
     if ref not in _REFERENCES:
@@ -238,10 +237,16 @@ def _scenario(d):
     feedforward = d.get("feedforward", False)
     if not isinstance(feedforward, bool):
         raise ValueError(f"feedforward must be true or false, got {feedforward!r}")
-    cfg = SimConfig(dt=finite_number(d, "dt_s", 1e-4),
-                    quantization=finite_number(d, "quantization_m", 100e-9),
+    seed = d.get("seed", SimConfig.noise_seed)
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"scenario seed must be an integer, got {seed!r}")
+    cfg = SimConfig(dt=finite_number(d, "dt_s", SimConfig.dt),
+                    quantization=finite_number(d, "quantization_m",
+                                               SimConfig.quantization),
                     noise_amplitude=finite_number(d, "noise_um", 0.0) * 1e-6,
-                    noise_seed=int(d.get("seed", 0)))
+                    noise_seed=seed)
     d.reject_unread("a scenario")
     return ref, cfg, feedforward
 
@@ -262,8 +267,7 @@ def _run_scenario(name, spec, scenario, plant_tf, man, subdir, tag=""):
                              "(loop unstable in hybrid simulation)\n")
     else:
         man.save(save_sim_csv, res, subdir, f"{base}.csv")
-        window = (0.0, 0.5) if kind == "step" else (0.0, dur + hold)
-        e_rms, e_max, overshoot = metrics(res, window)
+        e_rms, e_max, overshoot = metrics(res, (0.0, dur + hold))
         status = (f"ok\nkp: {spec.kp!r}\n"
                   f"e_rms_100nm: {float(e_rms / 1e-7)!r}\n"
                   f"e_max_100nm: {float(e_max / 1e-7)!r}\n"
@@ -280,11 +284,6 @@ def cmd_simulate(args):
     d = parse_spec(args.scenario)
     if "controller" not in d:
         raise ValueError("scenario file needs a `controller` key")
-    if "seed" in d:
-        seed = d["seed"]
-        if not (isinstance(seed, float) and seed.is_integer()):
-            raise ValueError(f"scenario seed must be an integer, got {seed!r}")
-        d["seed"] = int(seed)
     name = d.pop("controller")
     if not isinstance(name, str):
         raise ValueError(f"controller must be a builtin name or a spec path, "
@@ -296,7 +295,8 @@ def cmd_simulate(args):
     scenario = _scenario(d)
     plant = stage_plant()
     spec = spec.with_kp(normalize_open_loop_gain(spec, plant, spec.omega_c))
-    man = Manifest("simulate", args.out, seed=d.get("seed"))
+    man = Manifest("simulate", args.out,
+                   seed=scenario[1].noise_seed if "seed" in d else None)
     res, report = _run_scenario(name, spec, scenario, plant, man, "")
     man.write()
     print(f"wrote {report}")
@@ -304,10 +304,22 @@ def cmd_simulate(args):
 
 
 def cmd_reproduce(args):
-    plant_resp = load_frf(args.plant) if args.plant else None
-    man = Manifest("reproduce", args.out, seed=args.seed)
     plant_tf = stage_plant()
+    loop_plant = load_frf(args.plant) if args.plant else plant_tf
     builtins = _builtin_specs()
+    # each design normalized once per plant, before --out is made
+    suite = build_benchmark_suite(plant_tf)
+    loop_suite = suite if loop_plant is plant_tf else build_benchmark_suite(loop_plant)
+    # the closed-loop runs, each made for every design: (subdir, tag, scenario)
+    track = "08_tracking_metrics"
+    runs = [("06_step_responses", "", {"reference": "step3um"}),
+            *((track, tag, {"reference": ref, "feedforward": tag == "ff_"})
+              for ref in ("ref1", "ref2", "ref3") for tag in ("", "ff_")),
+            (track, "noise_", {"reference": "step3um", "noise_um": 2.0,
+                               "seed": args.seed + 17})]
+    runs = [(subdir, tag, _scenario({"seed": args.seed, **d}))
+            for subdir, tag, d in runs]
+    man = Manifest("reproduce", args.out, seed=args.seed)
 
     try:
         # resetting-integrator harmonics, orders 1..11
@@ -352,50 +364,27 @@ def cmd_reproduce(args):
                 raise ValueError(f"spec round-trip mismatch for {name}")
             build_controller(reparsed)  # must rebuild cleanly
 
-        # open-loop first harmonics + crossover report
-        # each design normalized once per plant, used by every later stage
-        suite = build_benchmark_suite(plant_tf)
-        plant_for_loop = plant_resp if plant_resp is not None else plant_tf
-        loop_suite = suite if plant_resp is None else build_benchmark_suite(plant_resp)
+        # open-loop first harmonics + crossover report, normalized third
+        # harmonic of each reset design
         grid = log_grid(1.0, 2000.0, 50)
-        views, report = {}, ""
+        report = ""
         for name, spec in loop_suite.items():
-            views[name] = view = open_loop_view(spec, plant_for_loop, grid)
+            view = open_loop_view(spec, loop_plant, grid)
             man.save(save_open_loop_csv, view, "05_open_loop", f"{name}.csv")
+            if name != "pid":
+                man.save(save_normalized_third_csv, view,
+                         "07_normalized_third", f"{name}.csv")
             wc, pm = crossover_pm(view)
             report += (f"{name}: crossover {to_hz(wc):.3f} Hz, "
                        f"phase margin {pm:.3f} deg, kp {spec.kp!r}\n")
         man.text(report, "05_open_loop", "crossover_pm.txt")
 
-        # normalized third harmonic
-        for name in SUITE:
-            if name != "pid":
-                man.save(save_normalized_third_csv, views[name],
-                         "07_normalized_third", f"{name}.csv")
-
-        # step responses (hybrid simulation; instability is a result)
-        for name, spec in suite.items():
-            _run_scenario(name, spec,
-                          _scenario({"reference": "step3um", "seed": args.seed}),
-                          plant_tf, man, "06_step_responses")
-
-        # tracking and noise metrics, simulation only
+        # closed-loop runs (hybrid simulation; instability is a result)
         man.text("Simulated closed-loop metrics on the bundled plant "
-                 "model -- simulation, not hardware.\n",
-                 "08_tracking_metrics", "README.txt")
+                 "model -- simulation, not hardware.\n", track, "README.txt")
         for name, spec in suite.items():
-            for ref in ("ref1", "ref2", "ref3"):
-                _run_scenario(name, spec,
-                              _scenario({"reference": ref, "seed": args.seed}),
-                              plant_tf, man, "08_tracking_metrics")
-                _run_scenario(name, spec,
-                              _scenario({"reference": ref, "seed": args.seed,
-                                         "feedforward": True}),
-                              plant_tf, man, "08_tracking_metrics", "ff_")
-            _run_scenario(name, spec,
-                          _scenario({"reference": "step3um", "noise_um": 2.0,
-                                     "seed": args.seed + 17}),
-                          plant_tf, man, "08_tracking_metrics", "noise_")
+            for subdir, tag, scenario in runs:
+                _run_scenario(name, spec, scenario, plant_tf, man, subdir, tag)
     except ArithmeticError as exc:
         # numerical failure (exit 3); input errors reach main (exit 2)
         print(f"reproduce aborted: {exc}", file=sys.stderr)

@@ -519,7 +519,7 @@ def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.n
     return _harmonics(base, n_r, gammas, _check_grid(grid), (1,))[0]
 
 
-def save_harmonics(path, responses):
+def save_harmonics(responses, path):
     """Harmonic CSV, one row per frequency and order: Hz, order, gain in
     dB, unwrapped phase in degrees.  An even order and an all-zero
     harmonic have no rows (their gain is exactly zero); each leaves a

@@ -534,10 +534,11 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
     recursion z <- R Phi^m z (R the reset map, m the samples per half
     period), and the rows c Phi^k (k = 1..m, c the output row, built by
     repeated squaring) turn all start states into all output samples in
-    one product.  After discarding the transient half of the run, the
-    output is projected onto e^{j n omega t} over an integer number of
-    periods; output samples at the jump instants use the mid-jump value,
-    which keeps the quadrature second order.
+    one product.  After discarding the transient half of the run, the kept
+    periods, which start on a whole period and so share one period's
+    sample phases, are averaged per phase and that mean period is
+    projected onto e^{j n omega t}; output samples at the jump instants
+    use the mid-jump value, which keeps the quadrature second order.
 
     Returns a list of complex gains for n = 1..n_max (even entries are
     quadrature noise, bounded far below the first harmonic).
@@ -600,15 +601,12 @@ def steady_state_harmonics(rs: ResetSystem, omega, n_max,
             f"open-loop response is not settling at omega = {omega:g}",
             time=k * step)
 
-    start = 2 * m * discard_periods
-    yv = ys[start:-1]
-    tv = np.arange(start, nsteps) * step
-    span = (nsteps - start) * step
-    rot = np.exp(-1j * omega * tv)   # order n weighs the samples by rot**n
-    weighted, gains = yv, []
+    period = ys[2 * m * discard_periods:-1].reshape(-1, 2 * m).mean(axis=0)
+    rot = np.exp(-1j * omega * step * np.arange(2 * m))  # order n weighs by rot**n
+    weighted, gains = period, []
     for _ in range(n_max):
         weighted = weighted * rot
-        gains.append(complex(1j * (2.0 / span) * np.sum(weighted) * step))
+        gains.append(complex(2j * np.mean(weighted)))
     return gains
 
 

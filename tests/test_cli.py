@@ -225,6 +225,20 @@ def test_simulate_integral_seed_is_an_int(tmp_path):
     assert "# seed: 7\n" in (out / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("seed, expected", [
+    (2**60 + 1, 2**60 + 1), (7.0, 7), (7.5, None), (True, None), ("7", None),
+])
+def test_scenario_seed_rule(seed, expected):
+    from resetloop.cli import _scenario
+
+    if expected is None:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            _scenario({"seed": seed})
+    else:
+        noise_seed = _scenario({"seed": seed})[1].noise_seed
+        assert type(noise_seed) is int and noise_seed == expected
+
+
 def test_simulate_rejects_fractional_seed(tmp_path):
     scen = tmp_path / "s.spec"
     scen.write_text("controller = pid\nreference = step3um\nseed = 7.5\n")
@@ -396,9 +410,56 @@ def test_reproduce_frf_not_covering_crossover_is_input_error(tmp_path):
     save_frf(freq_response(stage_plant(), log_grid(1.0, 100.0, 30)), frf_path)
     out = tmp_path / "rep"
     assert main(["reproduce", "--out", str(out), "--plant", str(frf_path)]) == 2
+    assert not out.exists()
+
+
+def test_reproduce_numerical_failure_keeps_a_partial_manifest(tmp_path,
+                                                              monkeypatch):
+    import resetloop.cli
+    from resetloop.lti import SingularFrequencyError
+
+    def singular(*args, **kwargs):
+        raise SingularFrequencyError("singular in an open-loop view")
+
+    monkeypatch.setattr(resetloop.cli, "open_loop_view", singular)
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--out", str(out)]) == 3
     partial = _read_manifest(out / "manifest.txt")
-    assert "01_clegg_harmonics/harmonic_01.csv" in partial
+    for stage in ("01_", "02_", "03_", "04_"):
+        assert any(rel.startswith(stage) for rel in partial), stage
     assert not any(rel.startswith("05_open_loop/") for rel in partial)
+    _assert_manifest_complete(out)
+
+
+def test_reproduce_runs_the_forty_scenario_plan(tmp_path, monkeypatch):
+    import resetloop.cli
+    import resetloop.sim
+
+    calls = {}
+
+    def counted(module, name, key=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(key(args, kwargs) if key else None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(resetloop.cli, "simulate_closed_loop")
+    counted(resetloop.cli, "generate_trajectory",
+            lambda args, kwargs: (args, tuple(sorted(kwargs.items()))))
+    counted(resetloop.sim, "feedforward_signal")
+    counted(resetloop.cli, "save_sim_csv")
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--out", str(out)]) == 0
+    assert len(calls["simulate_closed_loop"]) == 40
+    assert len(calls["generate_trajectory"]) == 40
+    assert len(set(calls["generate_trajectory"])) == 4
+    assert len(calls["feedforward_signal"]) == 15
+    assert len(calls["save_sim_csv"]) == 9
+    manifest = _read_manifest(out / "manifest.txt")
+    assert sum(rel.endswith("_metrics.txt") for rel in manifest) == 40
 
 
 def test_clegg_spec_gamma_is_honoured(tmp_path):

@@ -345,7 +345,7 @@ def test_save_harmonics_csv(tmp_path):
     grid = np.array([hz(1.0), hz(10.0)])
     spectrum = harmonic_spectrum(clegg(), grid, 5)
     path = tmp_path / "harmonics.csv"
-    save_harmonics(path, spectrum)
+    save_harmonics(spectrum, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "freq_hz,order,mag_db,phase_deg"
     orders = {int(ln.split(",")[1]) for ln in lines[1:]}
@@ -357,11 +357,11 @@ def test_save_harmonics_writes_a_stub_for_zero_harmonics(tmp_path):
 
     grid = np.array([hz(1.0), hz(10.0)])
     path = tmp_path / "h.csv"
-    save_harmonics(path, [HarmonicResponse(grid, 2, np.zeros(2))])
+    save_harmonics([HarmonicResponse(grid, 2, np.zeros(2))], path)
     assert path.read_text().splitlines() == [
         "freq_hz,order,mag_db,phase_deg",
         "# even harmonics are exactly zero and not tabulated"]
-    save_harmonics(path, [hosidf(clegg().with_gamma([1.0]), grid, 3)])
+    save_harmonics([hosidf(clegg().with_gamma([1.0]), grid, 3)], path)
     assert path.read_text().splitlines() == [
         "freq_hz,order,mag_db,phase_deg",
         "# harmonic is exactly zero for this system"]
