@@ -117,8 +117,9 @@ def save_open_loop_csv(view: OpenLoopView, path):
                 continue
             mag = 20.0 * np.log10(np.abs(vals[keep]))
             ph = np.degrees(np.unwrap(np.angle(vals[keep])))
-            for w, m, p in zip(view.grid[keep], mag, ph):
-                fh.write(f"{float(to_hz(w))!r},{n},{float(m)!r},{float(p)!r}\n")
+            for f, m, p in zip(to_hz(view.grid[keep]).tolist(), mag.tolist(),
+                               ph.tolist()):
+                fh.write(f"{f!r},{n},{m!r},{p!r}\n")
 
 
 def save_normalized_third_csv(view: OpenLoopView, path):
@@ -126,5 +127,5 @@ def save_normalized_third_csv(view: OpenLoopView, path):
     omega, ratio = normalized_third(view)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,ratio\n")
-        for w, r in zip(omega, ratio):
-            fh.write(f"{float(to_hz(w))!r},{float(r)!r}\n")
+        for f, r in zip(to_hz(omega).tolist(), ratio.tolist()):
+            fh.write(f"{f!r},{r!r}\n")

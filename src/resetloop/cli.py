@@ -44,8 +44,10 @@ from .lti import (
 )
 from .reset import HarmonicResponse, save_harmonics
 from .sim import (
+    SampledLoop,
     SimConfig,
     SimulationDiverged,
+    feedforward_signal,
     generate_trajectory,
     make_feedforward,
     metrics,
@@ -251,17 +253,23 @@ def _scenario(d):
     return ref, cfg, feedforward
 
 
-def _run_scenario(name, spec, scenario, plant_tf, man, subdir, tag=""):
-    """The _scenario ``scenario`` for ``spec`` (kp normalized on plant_tf),
-    written to ``subdir``."""
+def _run_scenario(name, spec, loop, scenario, plant_tf, commands, man, subdir,
+                  tag=""):
+    """The _scenario ``scenario`` for ``spec`` (kp normalized on plant_tf) on
+    its SampledLoop ``loop``, written to ``subdir``.  ``commands`` holds the
+    feedforward command of each (filter, reference, dt) driven so far."""
     ref, cfg, feedforward = scenario
     kind, dist, dur, hold = _REFERENCES[ref]
     traj = generate_trajectory(kind, dist, dur, dt=cfg.dt, hold=hold)
-    ff = make_feedforward(plant_tf, 100.0 * spec.omega_c) if feedforward else None
+    u_ff = None
+    if feedforward:
+        key = (make_feedforward(plant_tf, 100.0 * spec.omega_c), ref, cfg.dt)
+        if key not in commands:
+            commands[key] = feedforward_signal(key[0], traj, cfg.dt)
+        u_ff = commands[key]
     base = f"{tag}{name}_{ref}"
     try:
-        res = simulate_closed_loop(tf_to_ss(plant_tf), spec, traj, cfg,
-                                   feedforward=ff)
+        res = simulate_closed_loop(loop, traj, cfg, u_ff)
     except SimulationDiverged as exc:
         res, status = None, (f"diverged at t = {exc.time:.4f} s "
                              "(loop unstable in hybrid simulation)\n")
@@ -295,9 +303,10 @@ def cmd_simulate(args):
     scenario = _scenario(d)
     plant = stage_plant()
     spec = spec.with_kp(normalize_open_loop_gain(spec, plant, spec.omega_c))
+    loop = SampledLoop.build(tf_to_ss(plant), spec, scenario[1].dt)
     man = Manifest("simulate", args.out,
                    seed=scenario[1].noise_seed if "seed" in d else None)
-    res, report = _run_scenario(name, spec, scenario, plant, man, "")
+    res, report = _run_scenario(name, spec, loop, scenario, plant, {}, man, "")
     man.write()
     print(f"wrote {report}")
     return 0 if res is not None else 3
@@ -319,6 +328,12 @@ def cmd_reproduce(args):
                                "seed": args.seed + 17})]
     runs = [(subdir, tag, _scenario({"seed": args.seed, **d}))
             for subdir, tag, d in runs]
+    # one sampled loop per design, all on the first one's plant step: every
+    # run samples at the default dt
+    first = next(iter(suite))
+    loop = SampledLoop.build(tf_to_ss(plant_tf), suite[first], SimConfig.dt)
+    loops = {name: loop if name == first else loop.with_controller(spec)
+             for name, spec in suite.items()}
     man = Manifest("reproduce", args.out, seed=args.seed)
 
     try:
@@ -382,9 +397,11 @@ def cmd_reproduce(args):
         # closed-loop runs (hybrid simulation; instability is a result)
         man.text("Simulated closed-loop metrics on the bundled plant "
                  "model -- simulation, not hardware.\n", track, "README.txt")
+        commands = {}   # feedforward command per (filter, reference, dt)
         for name, spec in suite.items():
             for subdir, tag, scenario in runs:
-                _run_scenario(name, spec, scenario, plant_tf, man, subdir, tag)
+                _run_scenario(name, spec, loops[name], scenario, plant_tf,
+                              commands, man, subdir, tag)
     except ArithmeticError as exc:
         # numerical failure (exit 3); input errors reach main (exit 2)
         print(f"reproduce aborted: {exc}", file=sys.stderr)

@@ -123,11 +123,12 @@ def lead_lag(omega_z, omega_p):
 
 
 def series(a: TransferFunction, b: TransferFunction) -> TransferFunction:
-    """Series (cascade) connection: polynomial products of num and den."""
+    """Series (cascade) connection: polynomial products of num and den
+    (coefficient convolutions; both are already trimmed of leading zeros)."""
     if not (a.is_proper and b.is_proper):
         raise ValueError("series() requires proper transfer functions")
-    num = np.polymul(a.num, b.num)
-    den = np.polymul(a.den, b.den)
+    num = np.convolve(a.num, b.num)
+    den = np.convolve(a.den, b.den)
     if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
         raise OverflowError("coefficient overflow in series()")
     return TransferFunction(tuple(num), tuple(den))
@@ -354,9 +355,9 @@ def save_frf(resp: FrequencyResponse, path):
 
 
 def save_response(resp: FrequencyResponse, path):
-    mag = resp.mag_db()
-    ph = resp.phase_deg()
+    rows = zip(to_hz(resp.omega).tolist(), resp.mag_db().tolist(),
+               resp.phase_deg().tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,mag_db,phase_deg\n")
-        for w, m, p in zip(resp.omega, mag, ph):
-            fh.write(f"{float(to_hz(w))!r},{float(m)!r},{float(p)!r}\n")
+        for f, m, p in rows:
+            fh.write(f"{f!r},{m!r},{p!r}\n")

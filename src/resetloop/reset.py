@@ -533,7 +533,7 @@ def save_harmonics(responses, path):
             if not np.any(hr.values):
                 fh.write("# harmonic is exactly zero for this system\n")
                 continue
-            mag = hr.mag_db()
-            ph = hr.phase_deg()
-            for w, m, p in zip(hr.omega, mag, ph):
-                fh.write(f"{float(to_hz(w))!r},{hr.order},{float(m)!r},{float(p)!r}\n")
+            rows = zip(to_hz(hr.omega).tolist(), hr.mag_db().tolist(),
+                       hr.phase_deg().tolist())
+            for f, m, p in rows:
+                fh.write(f"{f!r},{hr.order},{m!r},{p!r}\n")

@@ -251,6 +251,23 @@ def _refine_axis(center, refine_delta, steps):
     return np.clip(index / round(1.0 / refine_delta), -1.0, 1.0)
 
 
+def _first_ranked(obj, k):
+    """``np.argsort(obj, kind="stable")[:k]`` without sorting all of obj.
+
+    Blocks of TUNE_CHUNK_POINTS pass on only the values up to the kth
+    smallest so far, ties included, and those few are stable-sorted with
+    the running k.  A block's indices exceed every earlier one, so ties
+    stay in index order.  NaN ranks last, in index order, as in the sort."""
+    top = np.empty(0, dtype=np.intp)
+    for i in range(0, obj.size, TUNE_CHUNK_POINTS):
+        bound = obj[top[-1]] if top.size == k else np.inf
+        cand = np.concatenate([top, i + np.flatnonzero(obj[i:i + TUNE_CHUNK_POINTS] <= bound)])
+        top = cand[np.argsort(obj[cand], kind="stable")][:k]
+    if top.size < k:   # fewer than k numbers
+        top = np.concatenate([top, np.flatnonzero(np.isnan(obj))[:k - top.size]])
+    return top
+
+
 def _tune_scorer(crone: CroneApprox, target):
     """The tuner's score: a function from reset maps gammas (G, n) to
     (gammas, objective, gain slope, phase slope), fitted to the filter's
@@ -327,7 +344,7 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
 
     obj = scores(coarse)
     # by objective; the flat index is in gamma order, so ties stay sorted
-    ranked = np.argsort(obj, kind="stable")[:10]
+    ranked = _first_ranked(obj, 10)
     shape = [len(a) for a in coarse]
     top_points = tuple((tuple(float(a[k]) for a, k in zip(coarse, np.unravel_index(i, shape))),
                         float(obj[i])) for i in ranked)

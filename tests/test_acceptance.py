@@ -30,6 +30,7 @@ from resetloop.reset import (
     sore,
 )
 from resetloop.sim import (
+    SampledLoop,
     SimConfig,
     SimulationDiverged,
     generate_trajectory,
@@ -126,8 +127,9 @@ def test_criterion_03_linear_limit():
         spec = ControllerSpec("custom", "rand",
                               (TransferFunction((1.0,), (1.0,)),), rs, 0.2, None)
         plant_ss = tf_to_ss(ptf)
-        hyb = simulate_closed_loop(plant_ss, spec, traj, cfg)
-        lin = simulate_linear_closed_loop(plant_ss, spec, traj, cfg)
+        loop = SampledLoop.build(plant_ss, spec, cfg.dt)
+        hyb = simulate_closed_loop(loop, traj, cfg)
+        lin = simulate_linear_closed_loop(loop, traj, cfg)
         scale = np.max(np.abs(lin.y)) + 1e-30
         worst_sim = max(worst_sim, float(np.max(np.abs(hyb.y - lin.y)) / scale))
     ok = worst_df <= 1e-9 and worst_h == 0.0 and worst_sim <= 1e-8
@@ -242,7 +244,8 @@ def test_criterion_08_step_overshoot_ordering(plant, suite):
     statuses = []
     for name, spec in suite.items():
         try:
-            res = simulate_closed_loop(plant_ss, spec, traj, cfg)
+            loop = SampledLoop.build(plant_ss, spec, cfg.dt)
+            res = simulate_closed_loop(loop, traj, cfg)
             overshoot[name] = metrics(res, (res.t[0], res.t[-1]))[2]
             statuses.append(f"{name}: {overshoot[name] * 100:.1f}%")
         except SimulationDiverged as exc:

@@ -67,8 +67,9 @@ def _exercise(tmp):
 
     traj = sim.generate_trajectory("step", 3e-6, 0.01)
     ff = sim.make_feedforward(plant, 100.0 * pid.omega_c)
-    res = sim.simulate_closed_loop(lti.tf_to_ss(plant), pid, traj,
-                                   sim.SimConfig(), feedforward=ff)
+    res = sim.simulate_closed_loop(
+        sim.SampledLoop.build(lti.tf_to_ss(plant), pid, 1e-4), traj,
+        sim.SimConfig(), sim.feedforward_signal(ff, traj, 1e-4))
     sim.save_sim_csv(res, tmp / "sim.csv")
     sim.steady_state_harmonics(fore, lti.hz(50.0), 3, samples_per_period=200,
                                n_periods=2)
@@ -104,18 +105,22 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
-def test_simulation_reaches_its_kernels_through_the_module(monkeypatch):
-    # the tracer counts sim.feedforward_calls by rebinding the module
-    # global, so simulate_closed_loop must look the drive up there
+def test_simulation_reaches_its_kernels_through_the_module(monkeypatch,
+                                                           tmp_path):
+    # the tracer counts sim.feedforward_calls by rebinding every module
+    # attribute bound to the drive, so a run with feedforward must look the
+    # drive up there
     calls = []
     drive = sim.feedforward_signal
-    monkeypatch.setattr(sim, "feedforward_signal",
-                        lambda *args: calls.append(args) or drive(*args))
-    plant = lti.stage_plant()
-    pid = synthesis.build_benchmark_suite(plant)["pid"]
-    traj = sim.generate_trajectory("step", 3e-6, 0.01)
-    sim.simulate_closed_loop(lti.tf_to_ss(plant), pid, traj, sim.SimConfig(),
-                             feedforward=sim.make_feedforward(plant, 1e5))
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "resetloop":
+            for attr, value in list(vars(mod).items()):
+                if value is drive:
+                    monkeypatch.setattr(
+                        mod, attr, lambda *args: calls.append(args) or drive(*args))
+    scen = tmp_path / "s.spec"
+    scen.write_text("controller = pid\nreference = ref3\nfeedforward = true\n")
+    assert cli.main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
 
     # no kernel keeps a module-level function in a local, a closure cell or

@@ -239,6 +239,39 @@ def test_scenario_seed_rule(seed, expected):
         assert type(noise_seed) is int and noise_seed == expected
 
 
+def test_reproduce_rejects_a_negative_noise_seed_before_out(tmp_path, capsys):
+    # the noise_ rows are seeded with --seed + 17, here -3
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--seed", "-20", "--out", str(out)]) == 2
+    assert "noise_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_negative_seed_with_noise(tmp_path, capsys):
+    scen = tmp_path / "s.spec"
+    scen.write_text("controller = pid\nreference = step3um\nseed = -3\n"
+                    "noise_um = 1.0\n")
+    out = tmp_path / "o"
+    assert main(["simulate", str(scen), "--out", str(out)]) == 2
+    assert "-3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_keeps_a_negative_seed_that_draws_no_noise(tmp_path,
+                                                             monkeypatch):
+    # --seed -1 seeds the noise_ rows with 16; the others draw no noise
+    import resetloop.cli
+    from resetloop.sim import SimulationDiverged
+
+    def diverge(*args, **kwargs):   # the runs themselves do not matter here
+        raise SimulationDiverged("not simulated", time=0.0)
+
+    monkeypatch.setattr(resetloop.cli, "simulate_closed_loop", diverge)
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--seed", "-1", "--out", str(out)]) == 0
+    assert "# seed: -1\n" in (out / "manifest.txt").read_text()
+
+
 def test_simulate_rejects_fractional_seed(tmp_path):
     scen = tmp_path / "s.spec"
     scen.write_text("controller = pid\nreference = step3um\nseed = 7.5\n")
@@ -362,8 +395,9 @@ def test_cold_start_and_simulation_do_not_import_scipy(tmp_path):
         "import resetloop.cli",
         "from resetloop.lti import hz, stage_plant, tf_to_ss",
         "from resetloop.reset import sore",
-        "from resetloop.sim import (SimConfig, generate_trajectory,",
-        "    make_feedforward, simulate_closed_loop, steady_state_harmonics)",
+        "from resetloop.sim import (SampledLoop, SimConfig, feedforward_signal,",
+        "    generate_trajectory, make_feedforward, simulate_closed_loop,",
+        "    steady_state_harmonics)",
         "from resetloop.synthesis import build_benchmark_suite",
         "plant = stage_plant()",
         "suite = build_benchmark_suite(plant)",
@@ -374,8 +408,10 @@ def test_cold_start_and_simulation_do_not_import_scipy(tmp_path):
         "steady_state_harmonics(sore(hz(20.0), 0.7, 0.2), hz(30.0), 3)",
         "spec = suite['pid']",
         "traj = generate_trajectory('fourth_order_scan', 100e-6, 0.093, hold=0.1)",
-        "simulate_closed_loop(tf_to_ss(plant), spec, traj, SimConfig(),",
-        "    make_feedforward(plant, 100.0 * spec.omega_c))",
+        "simulate_closed_loop(SampledLoop.build(tf_to_ss(plant), spec, 1e-4),",
+        "    traj, SimConfig(),",
+        "    feedforward_signal(make_feedforward(plant, 100.0 * spec.omega_c),",
+        "                       traj, 1e-4))",
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
         "assert not loaded, loaded",
     ])
@@ -449,14 +485,22 @@ def test_reproduce_runs_the_forty_scenario_plan(tmp_path, monkeypatch):
     counted(resetloop.cli, "simulate_closed_loop")
     counted(resetloop.cli, "generate_trajectory",
             lambda args, kwargs: (args, tuple(sorted(kwargs.items()))))
-    counted(resetloop.sim, "feedforward_signal")
+    counted(resetloop.cli, "feedforward_signal")
     counted(resetloop.cli, "save_sim_csv")
+    counted(resetloop.sim, "_discretize")
+    # every loop is a SampledLoop instance, built or swapped to a controller
+    counted(resetloop.sim.SampledLoop, "__init__")
     out = tmp_path / "rep"
     assert main(["reproduce", "--out", str(out)]) == 0
     assert len(calls["simulate_closed_loop"]) == 40
     assert len(calls["generate_trajectory"]) == 40
     assert len(set(calls["generate_trajectory"])) == 4
-    assert len(calls["feedforward_signal"]) == 15
+    # one command per reference: the five designs share one filter
+    assert len(calls["feedforward_signal"]) == 3
+    # one loop per design on one shared plant step: 5 controller steps and
+    # 1 plant step
+    assert len(calls["__init__"]) == 5
+    assert len(calls["_discretize"]) == 6
     assert len(calls["save_sim_csv"]) == 9
     manifest = _read_manifest(out / "manifest.txt")
     assert sum(rel.endswith("_metrics.txt") for rel in manifest) == 40

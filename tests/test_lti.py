@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_stable_tf
 from resetloop.lti import (
@@ -111,6 +113,27 @@ def test_series_response_is_pointwise_product():
         ab = freq_response(series(a, b), grid)
         ref = freq_response(a, grid).values * freq_response(b, grid).values
         assert np.max(np.abs(ab.values - ref) / np.abs(ref)) < 1e-10
+
+
+def _draw_tf(data):
+    """A proper transfer function with a nonzero leading denominator."""
+    den = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
+    den[0] = den[0] or 1.0
+    num = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=len(den)))
+    return TransferFunction(tuple(num), tuple(den))
+
+
+@given(st.data())
+def test_series_is_bitwise_the_polymul_product(data):
+    # the coefficients are trimmed on construction, so polymul's own trim
+    # is a no-op and the convolution is the same product
+    a, b = _draw_tf(data), _draw_tf(data)
+    got = series(a, b)
+    want = TransferFunction(tuple(np.polymul(a.num, b.num)),
+                            tuple(np.polymul(a.den, b.den)))
+    for x, y in ((got.num, want.num), (got.den, want.den)):
+        assert np.array(x).view(np.uint64).tolist() == \
+            np.array(y).view(np.uint64).tolist()
 
 
 def test_tf_to_ss_matches_rational_evaluation():

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import resetloop.sim
@@ -24,9 +24,11 @@ from resetloop.reset import (
     sore,
 )
 from resetloop.sim import (
+    SampledLoop,
     SimConfig,
     SimResult,
     SimulationDiverged,
+    feedforward_signal,
     generate_trajectory,
     make_feedforward,
     metrics,
@@ -252,7 +254,7 @@ def _held_reference_drive(ff, traj, dt):
     return u
 
 
-def test_step_feedforward_matches_the_held_reference_drive(plant, monkeypatch):
+def test_step_feedforward_matches_the_held_reference_drive(plant):
     # a step drives the scan's exact chain at zero snap, which must agree
     # with holding the step itself: on the signal and on the pid step3um run
     from resetloop.sim import feedforward_signal
@@ -263,11 +265,9 @@ def test_step_feedforward_matches_the_held_reference_drive(plant, monkeypatch):
     held = _held_reference_drive(ff, traj, 1e-4)
     got = feedforward_signal(ff, traj, 1e-4)
     assert np.max(np.abs(got - held)) <= 1e-12 * np.max(np.abs(held))
-    runs = []
-    for drive in (feedforward_signal, _held_reference_drive):
-        monkeypatch.setattr(resetloop.sim, "feedforward_signal", drive)
-        runs.append(simulate_closed_loop(tf_to_ss(plant), spec, traj, SimConfig(),
-                                         feedforward=ff))
+    loop = SampledLoop.build(tf_to_ss(plant), spec, 1e-4)
+    runs = [simulate_closed_loop(loop, traj, SimConfig(), u_ff)
+            for u_ff in (got, held)]
     for a, b in ((runs[0].u, runs[1].u), (runs[0].y, runs[1].y)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
@@ -556,7 +556,6 @@ def _simulator_matrices(plant, suite):
     steps and feedforward drives of the builtin suite on step3um, ref1 and
     ref3, and the oracle flows of the benchmark's validate elements."""
     from resetloop.cli import _REFERENCES
-    from resetloop.sim import _sampled_loop
 
     seen = {}
     real = resetloop.sim.expm
@@ -571,11 +570,12 @@ def _simulator_matrices(plant, suite):
     plant_ss = tf_to_ss(plant)
     with mock.patch.object(resetloop.sim, "expm", side_effect=record):
         for spec in suite.values():
+            SampledLoop.build(plant_ss, spec, SimConfig.dt)
             ff = make_feedforward(plant, 100.0 * spec.omega_c)
             for ref in ("step3um", "ref1", "ref3"):
                 kind, distance, duration, hold = _REFERENCES[ref]
                 traj = generate_trajectory(kind, distance, duration, hold=hold)
-                _sampled_loop(plant_ss, spec, traj, SimConfig(), ff)
+                feedforward_signal(ff, traj, SimConfig.dt)
     bench = _bench_workloads()
     with mock.patch.object(resetloop.sim, "expm",
                            side_effect=lambda M: record(M, stop=True)):
@@ -694,13 +694,15 @@ def _scores(res):
     return metrics(res, (res.t[0], res.t[-1]))
 
 
-def _per_sample_loop(plant, controller, traj, cfg, feedforward=None):
+def _per_sample_loop(loop, traj, cfg, u_ff=None):
     """The hybrid loop with each state advanced by its own product and the
     outputs read back from the states, one sample at a time."""
-    from resetloop.sim import SimResult, _sampled_loop
+    from resetloop.sim import SimResult
 
-    rs, Ac, Bc, Ap, Bp, u_ff = _sampled_loop(plant, controller, traj, cfg,
-                                             feedforward)
+    plant, rs = loop.plant, loop.chain
+    Ac, Bc, Ap, Bp = loop.Ac, loop.Bc, loop.Ap, loop.Bp
+    if u_ff is None:
+        u_ff = np.zeros(traj.t.size)
     Cc, Dc, Cp = rs.base.C[0], rs.base.D, plant.C[0]
     K = traj.t.size
     xc, xp = np.zeros(rs.order), np.zeros(plant.order)
@@ -736,18 +738,18 @@ def test_fused_loop_matches_the_per_sample_loop(plant, suite, design):
     from resetloop.cli import _REFERENCES
 
     spec = suite[design]
-    plant_ss = tf_to_ss(plant)
+    loop = SampledLoop.build(tf_to_ss(plant), spec, SimConfig.dt)
     ff = make_feedforward(plant, 100.0 * spec.omega_c)
     for ref in ("step3um", "ref1", "ref3"):
         kind, distance, duration, hold = _REFERENCES[ref]
         traj = generate_trajectory(kind, distance, duration, hold=hold)
         for noise in (0.0, 2e-6):
             cfg = SimConfig(noise_amplitude=noise, noise_seed=17)
-            for drive in (None, ff):
+            for drive in (None, feedforward_signal(ff, traj, cfg.dt)):
                 runs = []
                 for simulate in (simulate_closed_loop, _per_sample_loop):
                     try:
-                        runs.append(simulate(plant_ss, spec, traj, cfg, drive))
+                        runs.append(simulate(loop, traj, cfg, drive))
                     except SimulationDiverged as exc:
                         runs.append(exc.time)
                 got, want = runs
@@ -767,7 +769,8 @@ def test_zero_reference_stays_at_zero(plant, suite):
     cfg = SimConfig(quantization=0.0)
     plant_ss = tf_to_ss(plant)
     for spec in suite.values():
-        res = simulate_closed_loop(plant_ss, spec, traj, cfg)
+        res = simulate_closed_loop(SampledLoop.build(plant_ss, spec, cfg.dt),
+                                   traj, cfg)
         assert np.all(res.e == 0)
         assert np.all(res.u == 0)
 
@@ -776,7 +779,8 @@ def test_pid_step_settles_within_quantization(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.5)
     cfg = SimConfig()
-    res = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+    res = simulate_closed_loop(SampledLoop.build(tf_to_ss(plant), spec, cfg.dt),
+                               traj, cfg)
     tail = res.e[res.t > 0.4]
     assert np.max(np.abs(tail)) <= cfg.quantization + 1e-12
 
@@ -794,7 +798,8 @@ def test_reset_fires_twice_per_period_in_steady_sinusoid(plant):
 
     traj = Trajectory("sinusoid", t, r, 1e-6, 1.0)
     cfg = SimConfig(quantization=0.0)
-    res = simulate_closed_loop(tf_to_ss(tiny), spec, traj, cfg)
+    res = simulate_closed_loop(SampledLoop.build(tf_to_ss(tiny), spec, cfg.dt),
+                               traj, cfg)
     # 10 cycles -> 20 crossings (the first may or may not register)
     assert abs(res.n_resets - 20) <= 1
 
@@ -803,8 +808,9 @@ def test_determinism_bit_identical(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.2)
     cfg = SimConfig(noise_amplitude=2e-6, noise_seed=42)
-    a = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
-    b = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+    loop = SampledLoop.build(tf_to_ss(plant), spec, cfg.dt)
+    a = simulate_closed_loop(loop, traj, cfg)
+    b = simulate_closed_loop(loop, traj, cfg)
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.u, b.u)
     assert _scores(a) == _scores(b)
@@ -813,9 +819,10 @@ def test_determinism_bit_identical(plant):
 def test_noise_seed_changes_output(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.2)
-    a = simulate_closed_loop(tf_to_ss(plant), spec, traj,
+    loop = SampledLoop.build(tf_to_ss(plant), spec, SimConfig.dt)
+    a = simulate_closed_loop(loop, traj,
                              SimConfig(noise_amplitude=2e-6, noise_seed=1))
-    b = simulate_closed_loop(tf_to_ss(plant), spec, traj,
+    b = simulate_closed_loop(loop, traj,
                              SimConfig(noise_amplitude=2e-6, noise_seed=2))
     assert not np.array_equal(a.y, b.y)
 
@@ -835,8 +842,9 @@ def test_hybrid_matches_monolithic_linear_path_randomized():
                               (TransferFunction((1.0,), (1.0,)),),
                               ResetSystem(ss, n_r, np.ones(n_r)), 0.3, None)
         plant_ss = tf_to_ss(plant_tf)
-        hyb = simulate_closed_loop(plant_ss, spec, traj, cfg)
-        lin = simulate_linear_closed_loop(plant_ss, spec, traj, cfg)
+        loop = SampledLoop.build(plant_ss, spec, cfg.dt)
+        hyb = simulate_closed_loop(loop, traj, cfg)
+        lin = simulate_linear_closed_loop(loop, traj, cfg)
         scale = np.max(np.abs(lin.y)) + 1e-30
         assert np.max(np.abs(hyb.y - lin.y)) / scale < 1e-8
 
@@ -847,7 +855,8 @@ def test_linear_oracle_requires_clean_sensor(plant):
     for cfg in (SimConfig(),
                 SimConfig(quantization=0.0, noise_amplitude=1e-7)):
         with pytest.raises(ValueError, match="clean sensor"):
-            simulate_linear_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+            simulate_linear_closed_loop(
+                SampledLoop.build(tf_to_ss(plant), spec, cfg.dt), traj, cfg)
 
 
 @pytest.mark.parametrize("simulate", [simulate_closed_loop,
@@ -856,15 +865,17 @@ def test_simulators_reject_a_dt_that_disagrees_with_the_trajectory(plant,
                                                                    simulate):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.5, dt=1e-3)
+    loop = SampledLoop.build(tf_to_ss(plant), spec, SimConfig.dt)
     with pytest.raises(ValueError, match=r"cfg\.dt = 0\.0001 s .* 0\.001"):
-        simulate(tf_to_ss(plant), spec, traj, SimConfig(quantization=0.0))
+        simulate(loop, traj, SimConfig(quantization=0.0))
 
 
 def test_quantization_floors_measurement(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.3)
     cfg = SimConfig(quantization=100e-9)
-    res = simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+    res = simulate_closed_loop(SampledLoop.build(tf_to_ss(plant), spec, cfg.dt),
+                               traj, cfg)
     grid_residue = res.y / 100e-9 - np.round(res.y / 100e-9)
     assert np.max(np.abs(grid_residue)) < 1e-6
 
@@ -875,7 +886,8 @@ def test_divergence_reported_with_time(plant, suite):
     traj = generate_trajectory("step", 3e-6, 0.4)
     cfg = SimConfig()
     with pytest.raises(SimulationDiverged) as exc:
-        simulate_closed_loop(tf_to_ss(plant), suite["cloc-2"], traj, cfg)
+        simulate_closed_loop(
+            SampledLoop.build(tf_to_ss(plant), suite["cloc-2"], cfg.dt), traj, cfg)
     assert exc.value.time is not None
     assert 0 < exc.value.time < 0.4
 
@@ -887,7 +899,8 @@ def test_non_finite_output_is_divergence(plant):
     cfg = SimConfig()
     traj = generate_trajectory("step", 3e-6, 0.05)
     with pytest.raises(SimulationDiverged) as exc:
-        simulate_closed_loop(tf_to_ss(plant), spec, traj, cfg)
+        simulate_closed_loop(SampledLoop.build(tf_to_ss(plant), spec, cfg.dt),
+                             traj, cfg)
     assert exc.value.time == cfg.dt
 
 
@@ -902,17 +915,52 @@ def test_sim_config_rejects_bad_values(kwargs):
         SimConfig(**kwargs)
 
 
+def test_sim_config_rejects_a_negative_seed_only_with_noise():
+    with pytest.raises(ValueError, match="noise_seed .* -3"):
+        SimConfig(noise_amplitude=1e-6, noise_seed=-3)
+    assert SimConfig(noise_seed=-3).noise_seed == -3
+
+
+def test_loop_swapped_to_a_controller_equals_a_fresh_build(plant, suite):
+    plant_ss = tf_to_ss(plant)
+    pid = SampledLoop.build(plant_ss, suite["pid"], 1e-4)
+    for name in ("cglp-pi", "cloc-1"):
+        swapped = pid.with_controller(suite[name])
+        fresh = SampledLoop.build(plant_ss, suite[name], 1e-4)
+        assert swapped.plant is plant_ss and swapped.dt == fresh.dt
+        assert swapped.Ap is pid.Ap and swapped.Bp is pid.Bp
+        for attr in ("Ac", "Bc", "Ap", "Bp"):
+            assert np.array_equal(getattr(swapped, attr), getattr(fresh, attr))
+        assert np.array_equal(swapped.chain.base.A, fresh.chain.base.A)
+
+
+def test_sampled_loop_rejects_what_it_cannot_run(plant):
+    spec = _pid_spec(plant)
+    with pytest.raises(ValueError, match="strictly proper"):
+        SampledLoop.build(StateSpace([[-1.0]], [[1.0]], [[1.0]], 0.5), spec, 1e-4)
+    with pytest.raises(ValueError, match="dt"):
+        SampledLoop.build(tf_to_ss(plant), spec, 0.0)
+    loop = SampledLoop.build(tf_to_ss(plant), spec, 1e-4)
+    traj = generate_trajectory("step", 3e-6, 0.05, dt=5e-5)
+    for simulate in (simulate_closed_loop, simulate_linear_closed_loop):
+        with pytest.raises(ValueError, match="loop's dt = 0.0001"):
+            simulate(loop, traj, SimConfig(dt=5e-5, quantization=0.0))
+    traj = generate_trajectory("step", 3e-6, 0.05)
+    with pytest.raises(ValueError, match="u_ff has shape"):
+        simulate_closed_loop(loop, traj, SimConfig(), np.zeros(traj.t.size - 1))
+
+
 def test_feedforward_improves_tracking(plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("fourth_order_scan", 100e-6, 0.397, hold=0.1)
-    plant_ss = tf_to_ss(plant)
+    loop = SampledLoop.build(tf_to_ss(plant), spec, SimConfig.dt)
     base = simulate_closed_loop(
-        plant_ss, spec, traj, SimConfig(quantization=0.0))
+        loop, traj, SimConfig(quantization=0.0))
     ff = make_feedforward(plant, 100.0 * hz(150.0))
     with_ff = simulate_closed_loop(
-        plant_ss, spec, traj,
+        loop, traj,
         SimConfig(quantization=0.0),
-        feedforward=ff)
+        feedforward_signal(ff, traj, SimConfig.dt))
     assert _scores(with_ff)[0] < 0.2 * _scores(base)[0]
 
 
@@ -958,8 +1006,8 @@ def test_metrics_overshoot_fraction():
 def test_sim_csv_format(tmp_path, plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("step", 3e-6, 0.01)
-    res = simulate_closed_loop(tf_to_ss(plant), spec, traj,
-                               SimConfig())
+    res = simulate_closed_loop(SampledLoop.build(tf_to_ss(plant), spec, 1e-4),
+                               traj, SimConfig())
     path = tmp_path / "run.csv"
     save_sim_csv(res, path)
     lines = path.read_text().splitlines()
@@ -972,13 +1020,43 @@ def test_sim_csv_format(tmp_path, plant):
 def test_sim_csv_bytes_match_the_per_value_repr_writer(tmp_path, plant):
     spec = _pid_spec(plant)
     traj = generate_trajectory("fourth_order_scan", 100e-6, 0.093, hold=0.01)
-    res = simulate_closed_loop(tf_to_ss(plant), spec, traj, SimConfig(
-        noise_amplitude=2e-6), feedforward=make_feedforward(plant, hz(15000.0)))
+    res = simulate_closed_loop(
+        SampledLoop.build(tf_to_ss(plant), spec, 1e-4), traj,
+        SimConfig(noise_amplitude=2e-6),
+        feedforward_signal(make_feedforward(plant, hz(15000.0)), traj, 1e-4))
     path = tmp_path / "run.csv"
     save_sim_csv(res, path)
     want = "t_s,r_m,y_m,e_m,u\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n"
         for row in zip(res.t, res.r, res.y, res.e, res.u))
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+# doubles around the writer's edge cases: signed zeros, subnormals, repr's
+# switch to exponent notation at 1e16 and below 1e-4, and non-finite values
+_CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1e16, float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, 2e16)),
+              1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)),
+              -1e-4, 3e-6, float("nan"), float("inf"), float("-inf")]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CSV_EDGES) | st.floats(),
+                          st.integers(1, 900)), min_size=1, max_size=6),
+       st.lists(st.integers(0, 50), min_size=4, max_size=4))
+# signed zeros side by side, and a run across the first block boundary
+@example([(0.0, 130), (-0.0, 2), (0.0, 1), (-0.0, 1), (5e-324, 3), (1e16, 2),
+          (float(np.nextafter(1e-4, 0)), 2)], [0, 1, 3, 129])
+def test_sim_csv_bytes_match_the_per_value_repr_writer_on_any_values(
+        tmp_path_factory, runs, shifts):
+    # runs of repeated values, long enough to cross the block boundary; the
+    # other columns are shifts of the first, so each row mixes them
+    col = np.repeat([v for v, _ in runs], [n for _, n in runs])
+    cols = [col, *(np.roll(col, s) for s in shifts)]
+    res = SimResult(*cols)
+    path = tmp_path_factory.mktemp("csv") / "run.csv"
+    save_sim_csv(res, path)
+    want = "t_s,r_m,y_m,e_m,u\n" + "".join(
+        "%r,%r,%r,%r,%r\n" % row for row in zip(*(c.tolist() for c in cols)))
     assert path.read_bytes() == want.encode("utf-8")
 
 
@@ -992,6 +1070,6 @@ def test_downsampling_robustness_on_tracking(plant):
         traj = generate_trajectory("fourth_order_scan", 100e-6, 0.397,
                                    dt=dt, hold=0.1)
         cfg = SimConfig(dt=dt, quantization=0.0)
-        res = simulate_closed_loop(plant_ss, spec, traj, cfg)
+        res = simulate_closed_loop(SampledLoop.build(plant_ss, spec, dt), traj, cfg)
         vals.append(_scores(res)[0])
     assert abs(vals[1] / vals[0] - 1) < 0.01

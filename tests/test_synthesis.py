@@ -1,8 +1,11 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import resetloop.synthesis
 from resetloop.lti import (
@@ -379,6 +382,21 @@ def test_tuner_kernel_calls_stay_within_the_chunk_size(small_skeleton, monkeypat
     monkeypatch.setattr(resetloop.synthesis, "TUNE_CHUNK_POINTS", 7)
     assert tune_arho(small_skeleton, target, delta=0.25) == whole
     assert max(sizes) == 7 and sum(sizes) == 9**2 + 3 * 21**2
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, np.nan])
+                | st.floats(), max_size=60),
+       st.integers(1, 12), st.integers(1, 9))
+# fewer numbers than k: NaN fills the tail in index order
+@example([np.nan, 1.0, np.nan, -0.0, np.nan, 0.0, np.nan], 5, 2)
+def test_first_ranked_is_the_head_of_the_stable_argsort(values, k, chunk):
+    # ties (-0.0 with 0.0 too), NaN and partitions over blocks of `chunk`
+    from resetloop.synthesis import _first_ranked
+
+    obj = np.array(values, dtype=float)
+    with mock.patch.object(resetloop.synthesis, "TUNE_CHUNK_POINTS", chunk):
+        got = _first_ranked(obj, k)
+    assert got.tolist() == np.argsort(obj, kind="stable")[:k].tolist()
 
 
 def test_product_grid_keeps_itertools_order():
