@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import FrequencyResponse, log_grid, plant_values, to_hz
-from .synthesis import ControllerSpec, controller_harmonic
+from .synthesis import ControllerSpec, controller_harmonics
 
 
 def open_loop(controller: ControllerSpec, plant, grid, n=1) -> np.ndarray:
@@ -26,13 +26,21 @@ def open_loop(controller: ControllerSpec, plant, grid, n=1) -> np.ndarray:
     everything downstream at n * omega.  Controllers with no reset element
     return exact zeros for n >= 2.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("harmonic n must be odd (1, 3, 5, ...)")
+    return _open_loop(controller, plant, grid, (n,))[0]
+
+
+def _open_loop(controller, plant, grid, orders):
+    """`open_loop` for each of ``orders``, from one controller_harmonics
+    call."""
+    for n in orders:
+        if n < 1 or n % 2 == 0:
+            raise ValueError("harmonic n must be odd (1, 3, 5, ...)")
     grid = np.asarray(grid, dtype=float)
-    ctrl = controller_harmonic(controller, grid, n)
-    if controller.reset_part is None and n > 1:
-        return ctrl  # exact zeros; skip the plant lookup entirely
-    return ctrl * plant_values(plant, n * grid)
+    ctrls = controller_harmonics(controller, grid, orders)
+    # a reset-free controller's higher harmonics are exact zeros: no plant lookup
+    return [ctrl if controller.reset_part is None and n > 1
+            else ctrl * plant_values(plant, n * grid)
+            for n, ctrl in zip(orders, ctrls)]
 
 
 @dataclass(frozen=True)
@@ -53,10 +61,11 @@ def open_loop_view(controller: ControllerSpec, plant, grid=None) -> OpenLoopView
         else:
             grid = log_grid(1.0, 2000.0)
     grid = np.asarray(grid, dtype=float)
+    first, third = _open_loop(controller, plant, grid, (1, 3))
     return OpenLoopView(
         grid=grid,
-        first_harmonic=open_loop(controller, plant, grid, 1),
-        third_harmonic=open_loop(controller, plant, grid, 3),
+        first_harmonic=first,
+        third_harmonic=third,
         n_integrators=controller.n_integrators,
     )
 

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from .synthesis import (
     CroneApprox,
     build_benchmark_suite,
     controller_harmonic,
+    controller_harmonics,
     crone_place,
     fit_band,
     normalize_open_loop_gain,
@@ -87,15 +89,16 @@ def _linear_response(d, grid) -> FrequencyResponse:
     """No-reset-limit response: the spec with every gamma set to 1."""
     spec = build_controller(d)
     if spec.reset_part is not None:
-        spec.reset_part = spec.reset_part.with_gamma(np.ones(spec.reset_part.n_r))
+        spec = replace(spec, reset_part=spec.reset_part.with_gamma(
+            np.ones(spec.reset_part.n_r)))
     return FrequencyResponse(grid, controller_harmonic(spec, grid, 1))
 
 
 def _write_harmonic_files(man, subdir, spec, grid, orders):
-    """harmonic_NN.csv per order in ``subdir`` (even orders are exact zeros)."""
-    for n in orders:
-        man.save(save_harmonics,
-                 [HarmonicResponse(grid, n, controller_harmonic(spec, grid, n))],
+    """harmonic_NN.csv per order in ``subdir`` (even orders are exact
+    zeros).  Every order is computed, in one pass, before the first file."""
+    for n, vals in zip(orders, controller_harmonics(spec, grid, orders)):
+        man.save(save_harmonics, [HarmonicResponse(grid, n, vals)],
                  subdir, f"harmonic_{n:02d}.csv")
 
 

@@ -240,8 +240,8 @@ def _expm_bidiagonal(A, t):
             near = spread <= 1.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = (dd(S[1:]) - dd(S[:-1]) * np.exp(x[:, S[-2]] - top)) / spread
-            y = x[near][:, S[:-1]] - top[near, None]
-            val[near] = _dd_taylor(y)
+            if near.any():
+                val[near] = _dd_taylor(x[near][:, S[:-1]] - top[near, None])
             scaled[S] = val
         return scaled[S]
 

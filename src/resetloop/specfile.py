@@ -19,6 +19,8 @@ names the five the paper compares.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .lti import hz
@@ -212,10 +214,10 @@ def build_controller(d: dict) -> ControllerSpec:
         raise ValueError(f"unknown controller kind {kind!r}")
     d.read.update(("kind", "label"))   # kind read by index, label below
     d.reject_unread(f"kind {kind!r}")
-    spec.label = d.get("label") or kind
-    if not isinstance(spec.label, str):
-        raise ValueError(f"label must be text, got {spec.label!r}")
-    return spec.with_kp(kp)
+    label = d.get("label") or kind
+    if not isinstance(label, str):
+        raise ValueError(f"label must be text, got {label!r}")
+    return replace(spec, label=label).with_kp(kp)
 
 
 # --- the stock designs ------------------------------------------------------

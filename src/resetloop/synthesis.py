@@ -31,11 +31,12 @@ from .lti import (
 from .reset import (
     HarmonicResponse,
     ResetSystem,
+    _check_grid,
+    _harmonics,
     _product_grid,
     describing_function,
     describing_function_gamma_batch,
     fore,
-    hosidf,
     lag_chain,
     sore,
 )
@@ -364,7 +365,7 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
 
 # --- controller assembly ----------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerSpec:
     """A series controller: optional reset element followed by linear
     stages, scaled by the loop gain kp.
@@ -397,21 +398,37 @@ class ControllerSpec:
         return k
 
 
-def controller_harmonic(spec: ControllerSpec, grid, n=1) -> np.ndarray:
-    """Harmonic gain of the whole controller: reset-element harmonic at the
-    excitation frequency times the linear stages evaluated at n * omega.
-    Controllers without a reset element have exact zeros above n = 1."""
+def controller_harmonics(spec: ControllerSpec, grid, orders) -> list:
+    """Harmonic gains of the whole controller, one array per order in
+    ``orders`` (each >= 1, in the order given): the reset element's
+    harmonic at the excitation frequency times the linear stages evaluated
+    at n * omega, scaled by kp.  Even orders, and every order above 1 of a
+    controller without a reset element, are exact zeros.  The reset
+    element's odd orders share one kernel pass, so its frequency-only
+    set-up is computed once whatever the number of orders."""
+    orders = tuple(orders)
+    if any(n < 1 for n in orders):
+        raise ValueError(f"harmonic orders must be >= 1, got {orders}")
     grid = np.asarray(grid, dtype=float)
-    if spec.reset_part is None and n > 1:
-        return np.zeros(grid.shape, dtype=complex)
-    lin = spec.linear_tf()(1j * n * grid)
-    if spec.reset_part is None:
-        return spec.kp * lin
-    if n == 1:
-        res = describing_function(spec.reset_part, grid).values
+    rs = spec.reset_part
+    if rs is None:   # the linear stages alone: only the first harmonic
+        reset_gains = {1: 1.0}
     else:
-        res = hosidf(spec.reset_part, grid, n).values
-    return spec.kp * res * lin
+        grid = _check_grid(grid)
+        odd = tuple(n for n in orders if n % 2)
+        reset_gains = {}
+        if odd:
+            vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, odd)
+            reset_gains = dict(zip(odd, vals[:, 0]))
+    tf = spec.linear_tf()
+    return [spec.kp * reset_gains[n] * tf(1j * n * grid) if n in reset_gains
+            else np.zeros(grid.shape, dtype=complex) for n in orders]
+
+
+def controller_harmonic(spec: ControllerSpec, grid, n=1) -> np.ndarray:
+    """The n-th harmonic gain of the whole controller: the one-order case
+    of `controller_harmonics`."""
+    return controller_harmonics(spec, grid, (n,))[0]
 
 
 def pi_stage(omega_i) -> TransferFunction:

@@ -47,3 +47,21 @@ def plant():
 def suite(plant):
     """The five stock designs, loop gain normalized on the bundled plant."""
     return build_benchmark_suite(plant)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The ``orders`` of each reset._harmonics call made during the test,
+    with the kernel wrapped under every name a caller looks it up by."""
+    import resetloop.reset
+    import resetloop.synthesis
+
+    kernel, calls = resetloop.reset._harmonics, []
+
+    def counted(*args):
+        calls.append(tuple(args[-1]))
+        return kernel(*args)
+
+    for module in (resetloop.reset, resetloop.synthesis):
+        monkeypatch.setattr(module, "_harmonics", counted)
+    return calls

@@ -162,3 +162,14 @@ def test_five_designs_share_phase_margin(plant, suite):
         _, pm = crossover_pm(open_loop_view(spec, plant))
         pms.append(pm)
     assert max(pms) - min(pms) < 6.0
+
+
+def test_open_loop_view_takes_one_kernel_pass_per_design(plant, suite,
+                                                         kernel_calls):
+    grid = log_grid(1.0, 2000.0, 20)
+    for name, spec in suite.items():
+        kernel_calls.clear()
+        view = open_loop_view(spec, plant, grid)
+        assert kernel_calls == ([] if spec.reset_part is None else [(1, 3)]), name
+        assert np.array_equal(view.first_harmonic, open_loop(spec, plant, grid, 1))
+        assert np.array_equal(view.third_harmonic, open_loop(spec, plant, grid, 3))

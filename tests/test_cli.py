@@ -676,6 +676,31 @@ def test_df_rejects_repeated_harmonic_orders(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_df_computes_every_order_in_one_kernel_pass(tmp_path, kernel_calls):
+    orders = [str(n) for n in range(1, 12)]
+    assert main(["df", "clegg", "--harmonics", *orders,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert kernel_calls == [(1, 3, 5, 7, 9, 11)]
+
+
+def test_reproduce_clegg_harmonics_take_one_kernel_pass(tmp_path, monkeypatch,
+                                                        kernel_calls):
+    import resetloop.cli
+    from resetloop.sim import SimulationDiverged
+
+    def diverge(*args, **kwargs):   # the runs make no kernel call
+        raise SimulationDiverged("not simulated", time=0.0)
+
+    monkeypatch.setattr(resetloop.cli, "simulate_closed_loop", diverge)
+    assert main(["reproduce", "--out", str(tmp_path / "rep")]) == 0
+    # stage 01 is the only call for orders above 1; the rest are first
+    # harmonics (normalizations, stages 02-04) and one (1, 3) pass per
+    # reset design's open-loop view
+    assert kernel_calls.count((1, 3, 5, 7, 9, 11)) == 1
+    assert kernel_calls.count((1, 3)) == 4
+    assert len(kernel_calls) == 21
+
+
 @pytest.mark.parametrize("command", ["df", "bode"])
 def test_band_below_the_grid_floor_is_an_input_error(tmp_path, command, capsys):
     # every point would fall below OMEGA_FLOOR: no grid, not an empty result

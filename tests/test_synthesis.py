@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import resetloop.reset
 import resetloop.synthesis
 from resetloop.lti import (
     FrequencyResponse,
@@ -16,7 +17,11 @@ from resetloop.lti import (
     log_grid,
     to_hz,
 )
-from resetloop.reset import describing_function, describing_function_gamma_batch
+from resetloop.reset import (
+    describing_function,
+    describing_function_gamma_batch,
+    hosidf,
+)
 from resetloop.synthesis import (
     ApproxBand,
     CLOC_LADDERS_HZ,
@@ -29,6 +34,7 @@ from resetloop.synthesis import (
     build_cloc_from,
     build_pid,
     controller_harmonic,
+    controller_harmonics,
     crone_place,
     fit_band,
     normalize_open_loop_gain,
@@ -586,3 +592,77 @@ def test_suite_controller_phases_match_at_crossover(suite):
     assert phases["cglp-pi"] == pytest.approx(ref, abs=0.01)
     assert phases["cloc-1"] == pytest.approx(ref, abs=3.5)
     assert phases["cloc-2"] == pytest.approx(ref, abs=3.5)
+
+
+# --- controller harmonics ----------------------------------------------------
+
+#: every builtin that is a controller or a bare reset element
+HARMONIC_SPECS = ("clegg", "fore", "sore", "cglp-fore", "cglp-sore",
+                  "cloc-1", "cloc-2", "pid")
+
+
+def _controller_harmonic_reference(spec, grid, n):
+    """One order of the controller's harmonic, per-order: the reset part's
+    describing function or HOSIDF times the linear stages at n * omega,
+    times kp."""
+    grid = np.asarray(grid, dtype=float)
+    if spec.reset_part is None and n > 1:
+        return np.zeros(grid.shape, dtype=complex)
+    lin = spec.linear_tf()(1j * n * grid)
+    if spec.reset_part is None:
+        return spec.kp * lin
+    if n == 1:
+        res = describing_function(spec.reset_part, grid).values
+    else:
+        res = hosidf(spec.reset_part, grid, n).values
+    return spec.kp * res * lin
+
+
+@given(st.sampled_from(HARMONIC_SPECS),
+       st.lists(st.integers(1, 12), unique=True, max_size=12),
+       st.sampled_from([1.0, 0.37]))
+@example("fore", [2, 11, 1, 4, 3], 1.0)
+def test_controller_harmonics_equal_the_per_order_route(name, orders, kp):
+    spec = build_controller(_builtin_specs()[name]).with_kp(kp)
+    grid = log_grid(0.05, 2000.0, 15)
+    got = controller_harmonics(spec, grid, orders)
+    assert len(got) == len(orders)
+    for n, vals in zip(orders, got):
+        assert np.array_equal(vals, _controller_harmonic_reference(spec, grid, n)), n
+
+
+def test_controller_harmonics_split_a_long_grid_into_blocks():
+    spec = build_controller(_builtin_specs()["fore"])
+    grid = np.geomspace(0.1, 3e4, resetloop.reset._BLOCK_POINTS + 999)
+    orders = (3, 1, 2, 5)
+    got = controller_harmonics(spec, grid, orders)
+    for n, vals in zip(orders, got):
+        assert np.array_equal(vals, _controller_harmonic_reference(spec, grid, n)), n
+
+
+def test_controller_harmonics_share_one_kernel_pass(kernel_calls):
+    grid = log_grid(1.0, 100.0, 5)
+    clegg, pid = (build_controller(_builtin_specs()[name]) for name in ("clegg", "pid"))
+    controller_harmonics(clegg, grid, range(1, 12))
+    assert kernel_calls == [(1, 3, 5, 7, 9, 11)]
+    # even orders and a reset-free controller's higher orders are zeros
+    # that never reach the kernel
+    kernel_calls.clear()
+    controller_harmonics(clegg, grid, (2, 4))
+    controller_harmonics(pid, grid, (1, 3, 5))
+    assert kernel_calls == []
+
+
+def test_controller_harmonics_reject_orders_below_one():
+    spec = build_controller(_builtin_specs()["clegg"])
+    with pytest.raises(ValueError, match="orders must be >= 1"):
+        controller_harmonics(spec, log_grid(1.0, 10.0, 5), (1, 0))
+
+
+def test_controller_spec_is_frozen(suite):
+    import dataclasses
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        suite["cloc-1"].kp = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        suite["cloc-1"].reset_part = None
