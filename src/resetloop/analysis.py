@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .lti import FrequencyResponse, log_grid, plant_values, to_hz
+from .lti import FrequencyResponse, log_grid, plant_values, to_hz, write_rows
 from .synthesis import ControllerSpec, controller_harmonics
 
 
@@ -126,9 +127,8 @@ def save_open_loop_csv(view: OpenLoopView, path):
                 continue
             mag = 20.0 * np.log10(np.abs(vals[keep]))
             ph = np.degrees(np.unwrap(np.angle(vals[keep])))
-            for f, m, p in zip(to_hz(view.grid[keep]).tolist(), mag.tolist(),
-                               ph.tolist()):
-                fh.write(f"{f!r},{n},{m!r},{p!r}\n")
+            write_rows(fh, to_hz(view.grid[keep]).tolist(), repeat(n), mag.tolist(),
+                       ph.tolist())
 
 
 def save_normalized_third_csv(view: OpenLoopView, path):
@@ -136,5 +136,4 @@ def save_normalized_third_csv(view: OpenLoopView, path):
     omega, ratio = normalized_third(view)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,ratio\n")
-        for f, r in zip(to_hz(omega).tolist(), ratio.tolist()):
-            fh.write(f"{f!r},{r!r}\n")
+        write_rows(fh, to_hz(omega).tolist(), ratio.tolist())

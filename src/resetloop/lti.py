@@ -347,17 +347,22 @@ def load_frf(path) -> FrequencyResponse:
     return FrequencyResponse(hz(f), vals)
 
 
+def write_rows(fh, *columns):
+    """Write the rows of equally long columns, each value as its repr: a float
+    round-trips exactly, a Python int (not a numpy one) is its digits."""
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    fh.writelines(line % row for row in zip(*columns))
+
+
 def save_frf(resp: FrequencyResponse, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,real,imag\n")
-        for w, v in zip(resp.omega, resp.values):
-            fh.write(f"{float(to_hz(w))!r},{float(v.real)!r},{float(v.imag)!r}\n")
+        write_rows(fh, to_hz(resp.omega).tolist(), resp.values.real.tolist(),
+                   resp.values.imag.tolist())
 
 
 def save_response(resp: FrequencyResponse, path):
-    rows = zip(to_hz(resp.omega).tolist(), resp.mag_db().tolist(),
-               resp.phase_deg().tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("freq_hz,mag_db,phase_deg\n")
-        for f, m, p in rows:
-            fh.write(f"{f!r},{m!r},{p!r}\n")
+        write_rows(fh, to_hz(resp.omega).tolist(), resp.mag_db().tolist(),
+                   resp.phase_deg().tolist())

@@ -4,10 +4,11 @@ A reset element is a linear filter whose leading ("resetting") states are
 multiplied by per-state factors gamma_i whenever the driving error signal
 crosses zero.  The jump injects nonlinearity: under a unit sinusoid the
 steady-state output contains the excitation frequency plus odd harmonics.
-``describing_function`` (first harmonic), ``hosidf`` (n-th harmonic, exactly
-zero for even n), ``harmonic_spectrum`` (n = 1, 3, 5, ...) and
+``harmonics`` gives one element's gains at any harmonic orders (exactly zero
+for even n), the odd ones from one kernel pass; ``describing_function``
+(first harmonic) and ``hosidf`` (n-th harmonic) are its one-order cases, and
 ``describing_function_gamma_batch`` (first harmonic for many reset maps)
-compute those gains in closed form through one kernel.
+calls the same kernel.
 
 With E = e^{(pi/omega) A}, Delta = I + E and Lambda = omega^2 I + A^2, the
 jump enters every harmonic only through v(omega, gamma) = Delta (x -
@@ -33,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .lti import SingularFrequencyError, StateSpace, to_hz
+from .lti import SingularFrequencyError, StateSpace, to_hz, write_rows
 
 _HURWITZ_TOL = 1e-9
 _COND_LIMIT = 1e14
@@ -80,10 +82,6 @@ class ResetSystem:
     @property
     def order(self):
         return self.base.order
-
-    @property
-    def is_linear(self):
-        return self.n_r == 0 or bool(np.all(self.gamma == 1.0))
 
     def reset_matrix(self):
         """Full jump map: blockdiag(diag(gamma), I)."""
@@ -185,10 +183,12 @@ class HarmonicResponse:
         return np.degrees(np.unwrap(np.angle(self.values)))
 
 
-def _check_grid(grid):
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0):
-        raise ValueError("grid must be positive")
+def check_grid(grid):
+    """A copy of a harmonic grid as a float array (a response may freeze it,
+    not the caller's grid): one axis of positive omega."""
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or np.any(grid <= 0):
+        raise ValueError("grid must be positive and 1-D")
     return grid
 
 
@@ -441,26 +441,22 @@ def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
     return out.transpose(0, 2, 1)
 
 
-def theta_d(rs: ResetSystem, omega) -> np.ndarray:
-    """Jump-induced correction matrix entering the first-harmonic gain.
-
-    Real n x n matrix; identically zero when the jump map is the identity
-    (all gamma_i = 1).  Raises SingularFrequencyError when the resolvent
-    of the jump recursion, I + A_R e^{(pi/omega)A}, is singular at omega.
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if rs.is_linear:
-        # identity jump map: the resolvent collapses and the correction is
-        # exactly zero, so skip the (possibly ill-conditioned) formula
-        return np.zeros((rs.order, rs.order))
-    eye, AR, grid = np.eye(rs.order), rs.reset_matrix(), np.array([float(omega)])
-    E, lam = _frequency_matrices(rs.base.A, grid)
-    # one matrix: an infinite bound sends it straight to the exact cond_2
-    _check_resolvent(E, np.diag(AR)[None, :], np.full((1, 1), np.inf), grid)
-    delta, lam_inv = eye + E[0], np.linalg.solve(lam[0], eye)
-    gamma_r = np.linalg.solve(eye + AR @ E[0], AR @ delta @ lam_inv)
-    return -(2.0 * omega**2 / np.pi) * delta @ (gamma_r - lam_inv)
+def harmonics(rs: ResetSystem, grid, orders) -> list:
+    """Harmonic responses of the reset element, one per order in ``orders``
+    (each >= 1, in the order given).  Even orders are exact zeros and never
+    reach the kernel; the odd ones share one kernel pass, so the
+    frequency-only set-up is computed once whatever the number of orders.
+    In the no-reset limit gamma = 1 every order above the first is exactly
+    zero."""
+    orders = tuple(orders)
+    if any(n < 1 for n in orders):
+        raise ValueError(f"harmonic orders must be >= 1, got {orders}")
+    grid = check_grid(grid)
+    odd = tuple(n for n in orders if n % 2)
+    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, odd)[:, 0] if odd else ()
+    gains = dict(zip(odd, vals))
+    return [HarmonicResponse(grid, n, gains[n] if n in gains
+                             else np.zeros(grid.shape, dtype=complex)) for n in orders]
 
 
 def describing_function(rs: ResetSystem, grid) -> HarmonicResponse:
@@ -469,37 +465,15 @@ def describing_function(rs: ResetSystem, grid) -> HarmonicResponse:
     Reduces exactly to the linear frequency response of the base when all
     gamma_i = 1.
     """
-    grid = _check_grid(grid)
-    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, (1,))
-    return HarmonicResponse(grid, 1, vals[0, 0])
+    return harmonics(rs, grid, (1,))[0]
 
 
 def hosidf(rs: ResetSystem, grid, n: int) -> HarmonicResponse:
     """Complex gain of the n-th output harmonic (n >= 2) under unit
-    sinusoidal excitation.
-
-    Even orders are exact zeros by construction (they are not evaluated,
-    which avoids spurious numerical residue).  The same short circuit
-    applies in the no-reset limit gamma = 1, where every harmonic above
-    the first vanishes identically.
-    """
+    sinusoidal excitation; see `harmonics`."""
     if n < 2:
         raise ValueError("hosidf() covers n >= 2; use describing_function for n = 1")
-    grid = _check_grid(grid)
-    if n % 2 == 0:
-        return HarmonicResponse(grid, n, np.zeros(grid.shape, dtype=complex))
-    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, (n,))
-    return HarmonicResponse(grid, n, vals[0, 0])
-
-
-def harmonic_spectrum(rs: ResetSystem, grid, n_max: int):
-    """Orders 1, 3, 5, ..., n_max of the harmonic response (list of
-    HarmonicResponse)."""
-    if n_max < 1 or n_max % 2 == 0:
-        raise ValueError("n_max must be odd and >= 1")
-    grid, orders = _check_grid(grid), tuple(range(1, n_max + 1, 2))
-    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, orders)
-    return [HarmonicResponse(grid, n, v[0]) for n, v in zip(orders, vals)]
+    return harmonics(rs, grid, (n,))[0]
 
 
 def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.ndarray:
@@ -516,7 +490,7 @@ def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.n
         raise ValueError("gammas must be (G, n_r)")
     if not np.all(np.abs(gammas) <= 1.0):
         raise ValueError("each gamma_i must lie in [-1, 1]")
-    return _harmonics(base, n_r, gammas, _check_grid(grid), (1,))[0]
+    return _harmonics(base, n_r, gammas, check_grid(grid), (1,))[0]
 
 
 def save_harmonics(responses, path):
@@ -533,7 +507,5 @@ def save_harmonics(responses, path):
             if not np.any(hr.values):
                 fh.write("# harmonic is exactly zero for this system\n")
                 continue
-            rows = zip(to_hz(hr.omega).tolist(), hr.mag_db().tolist(),
-                       hr.phase_deg().tolist())
-            for f, m, p in rows:
-                fh.write(f"{f!r},{hr.order},{m!r},{p!r}\n")
+            write_rows(fh, to_hz(hr.omega).tolist(), repeat(int(hr.order)),
+                       hr.mag_db().tolist(), hr.phase_deg().tolist())

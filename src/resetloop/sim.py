@@ -113,6 +113,11 @@ def _scan_profile(distance, duration):
     return tau, unit, distance / unit[-1][3]
 
 
+def _segment(t, tau):
+    """Snap segment index of each time t >= 0; the last segment holds every later t."""
+    return np.minimum((np.asarray(t) / tau).astype(int), len(_SNAP_PATTERN) - 1)
+
+
 def generate_trajectory(kind, distance, duration, dt=1e-4, hold=0.0) -> Trajectory:
     """Reference generator.
 
@@ -142,7 +147,7 @@ def generate_trajectory(kind, distance, duration, dt=1e-4, hold=0.0) -> Trajecto
     # the tail is clamped exactly on the commanded endpoint
     r = np.full(t.shape, snap * unit[-1][3])
     tm = t[t < duration]
-    seg = np.minimum((tm / tau).astype(int), len(_SNAP_PATTERN) - 1)
+    seg = _segment(tm, tau)
     j, a, v, x = (snap * np.array(unit)[seg]).T
     s = snap * np.array(_SNAP_PATTERN, dtype=float)[seg]
     d = tm - seg * tau
@@ -311,7 +316,7 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
     def snap_at(t):
         if t >= traj.duration:
             return 0.0
-        return snap * _SNAP_PATTERN[min(int(t / tau), 14)]
+        return snap * _SNAP_PATTERN[_segment(t, tau)]
 
     def flow(z, t0, h):
         """z advanced by h from t0 at the snap level of t0."""
@@ -330,8 +335,7 @@ def feedforward_signal(ff: TransferFunction, traj: Trajectory, dt) -> np.ndarray
     split[crossing[crossing < K]] = True
     level = np.zeros(K)
     live = t < traj.duration
-    level[live] = snap * np.array(_SNAP_PATTERN, dtype=float)[
-        np.minimum((t[live] / tau).astype(int), 14)]
+    level[live] = snap * np.array(_SNAP_PATTERN, dtype=float)[_segment(t[live], tau)]
     cuts = np.flatnonzero(split[1:] | split[:-1] | (level[1:] != level[:-1]))
     edges = [0, *(cuts + 1).tolist(), K]
     row = np.zeros(m + 1)

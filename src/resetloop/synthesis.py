@@ -31,12 +31,12 @@ from .lti import (
 from .reset import (
     HarmonicResponse,
     ResetSystem,
-    _check_grid,
-    _harmonics,
     _product_grid,
+    check_grid,
     describing_function,
     describing_function_gamma_batch,
     fore,
+    harmonics,
     lag_chain,
     sore,
 )
@@ -401,28 +401,19 @@ class ControllerSpec:
 def controller_harmonics(spec: ControllerSpec, grid, orders) -> list:
     """Harmonic gains of the whole controller, one array per order in
     ``orders`` (each >= 1, in the order given): the reset element's
-    harmonic at the excitation frequency times the linear stages evaluated
-    at n * omega, scaled by kp.  Even orders, and every order above 1 of a
-    controller without a reset element, are exact zeros.  The reset
-    element's odd orders share one kernel pass, so its frequency-only
-    set-up is computed once whatever the number of orders."""
-    orders = tuple(orders)
-    if any(n < 1 for n in orders):
-        raise ValueError(f"harmonic orders must be >= 1, got {orders}")
-    grid = np.asarray(grid, dtype=float)
-    rs = spec.reset_part
-    if rs is None:   # the linear stages alone: only the first harmonic
-        reset_gains = {1: 1.0}
+    `harmonics` at the excitation frequency times the linear stages
+    evaluated at n * omega, scaled by kp.  A controller without a reset
+    element has a unit first harmonic and no others.  A harmonic that is
+    exactly zero (every even order, for one) stays exact zeros."""
+    if spec.reset_part is None:
+        grid = check_grid(grid)
+        resets = [HarmonicResponse(grid, n, np.full(grid.shape, float(n == 1)))
+                  for n in orders]
     else:
-        grid = _check_grid(grid)
-        odd = tuple(n for n in orders if n % 2)
-        reset_gains = {}
-        if odd:
-            vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, odd)
-            reset_gains = dict(zip(odd, vals[:, 0]))
+        resets = harmonics(spec.reset_part, grid, orders)
     tf = spec.linear_tf()
-    return [spec.kp * reset_gains[n] * tf(1j * n * grid) if n in reset_gains
-            else np.zeros(grid.shape, dtype=complex) for n in orders]
+    return [spec.kp * h.values * tf(1j * h.order * h.omega) if h.values.any()
+            else np.zeros(h.omega.shape, dtype=complex) for h in resets]
 
 
 def controller_harmonic(spec: ControllerSpec, grid, n=1) -> np.ndarray:

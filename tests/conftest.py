@@ -51,10 +51,8 @@ def suite(plant):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The ``orders`` of each reset._harmonics call made during the test,
-    with the kernel wrapped under every name a caller looks it up by."""
+    """The ``orders`` of each reset._harmonics call made during the test."""
     import resetloop.reset
-    import resetloop.synthesis
 
     kernel, calls = resetloop.reset._harmonics, []
 
@@ -62,6 +60,5 @@ def kernel_calls(monkeypatch):
         calls.append(tuple(args[-1]))
         return kernel(*args)
 
-    for module in (resetloop.reset, resetloop.synthesis):
-        monkeypatch.setattr(module, "_harmonics", counted)
+    monkeypatch.setattr(resetloop.reset, "_harmonics", counted)
     return calls

@@ -22,24 +22,50 @@ from resetloop.lti import (
 from resetloop.reset import (
     HarmonicResponse,
     ResetSystem,
+    _check_resolvent,
     _expm_grid,
+    _frequency_matrices,
     _grid_factors,
     _harmonics,
     clegg,
     describing_function,
     describing_function_gamma_batch,
     fore,
-    harmonic_spectrum,
+    harmonics,
     hosidf,
     lag_chain,
     sore,
-    theta_d,
 )
+from resetloop.specfile import _builtin_specs, build_controller
 from resetloop.synthesis import ApproxBand, crone_place
 
 CLEGG_MAG = np.sqrt(1 + 16 / np.pi**2)      # |1 + 4j/pi|
 CLEGG_PHASE = -np.degrees(np.arctan(np.pi / 4))   # -38.146 deg
 CLEGG_H3 = 4 / (3 * np.pi)
+
+
+def theta_d(rs: ResetSystem, omega) -> np.ndarray:
+    """Jump-induced correction matrix entering the first-harmonic gain: the
+    matrix form of Guo, Wang and Xie (IEEE TCST 2009), an independent route
+    to the first harmonic that the kernel is checked against.
+
+    Real n x n matrix; identically zero when the jump map is the identity
+    (all gamma_i = 1).  Raises SingularFrequencyError when the resolvent
+    of the jump recursion, I + A_R e^{(pi/omega)A}, is singular at omega.
+    """
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if rs.n_r == 0 or bool(np.all(rs.gamma == 1.0)):
+        # identity jump map: the resolvent collapses and the correction is
+        # exactly zero, so skip the (possibly ill-conditioned) formula
+        return np.zeros((rs.order, rs.order))
+    eye, AR, grid = np.eye(rs.order), rs.reset_matrix(), np.array([float(omega)])
+    E, lam = _frequency_matrices(rs.base.A, grid)
+    # one matrix: an infinite bound sends it straight to the exact cond_2
+    _check_resolvent(E, np.diag(AR)[None, :], np.full((1, 1), np.inf), grid)
+    delta, lam_inv = eye + E[0], np.linalg.solve(lam[0], eye)
+    gamma_r = np.linalg.solve(eye + AR @ E[0], AR @ delta @ lam_inv)
+    return -(2.0 * omega**2 / np.pi) * delta @ (gamma_r - lam_inv)
 
 
 def test_theta_d_clegg_closed_form():
@@ -108,7 +134,7 @@ def test_no_reset_limit_kills_harmonics():
 
 def test_clegg_spectrum_monotone_in_order():
     grid = np.array([hz(1.0), hz(10.0)])
-    spectrum = harmonic_spectrum(clegg(), grid, 11)
+    spectrum = harmonics(clegg(), grid, range(1, 12, 2))
     assert len(spectrum) == 6
     assert [hr.order for hr in spectrum] == [1, 3, 5, 7, 9, 11]
     mags = np.array([np.abs(hr.values) for hr in spectrum])
@@ -334,16 +360,11 @@ def test_hosidf_rejects_first_order():
         hosidf(clegg(), np.array([1.0]), 1)
 
 
-def test_spectrum_rejects_even_n_max():
-    with pytest.raises(ValueError, match="odd"):
-        harmonic_spectrum(clegg(), np.array([1.0]), 4)
-
-
 def test_save_harmonics_csv(tmp_path):
     from resetloop.reset import save_harmonics
 
     grid = np.array([hz(1.0), hz(10.0)])
-    spectrum = harmonic_spectrum(clegg(), grid, 5)
+    spectrum = harmonics(clegg(), grid, (1, 3, 5))
     path = tmp_path / "harmonics.csv"
     save_harmonics(spectrum, path)
     lines = path.read_text().splitlines()
@@ -365,6 +386,49 @@ def test_save_harmonics_writes_a_stub_for_zero_harmonics(tmp_path):
     assert path.read_text().splitlines() == [
         "freq_hz,order,mag_db,phase_deg",
         "# harmonic is exactly zero for this system"]
+
+
+def test_save_harmonics_writes_a_numpy_order_as_its_digits(tmp_path):
+    from resetloop.reset import save_harmonics
+
+    third = hosidf(clegg(), np.array([hz(1.0), hz(10.0)]), 3)
+    path = tmp_path / "h.csv"
+    save_harmonics([HarmonicResponse(third.omega, np.int64(3), third.values)], path)
+    assert [ln.split(",")[1] for ln in path.read_text().splitlines()[1:]] == ["3", "3"]
+
+
+#: every builtin spec that has a reset element
+RESET_BUILTINS = sorted(name for name, d in _builtin_specs().items()
+                        if build_controller(d).reset_part is not None)
+
+
+@given(st.sampled_from(RESET_BUILTINS),
+       st.lists(st.integers(1, 12), unique=True, min_size=1, max_size=12))
+def test_harmonics_equal_the_one_order_entry_points(name, orders):
+    rs = build_controller(_builtin_specs()[name]).reset_part
+    grid = log_grid(0.05, 2000.0, 10)
+    with mock.patch.object(resetloop.reset, "_harmonics",
+                           wraps=resetloop.reset._harmonics) as kernel:
+        got = harmonics(rs, grid, orders)
+    odd = tuple(n for n in orders if n % 2)
+    # all odd orders in one kernel pass; even orders never reach it
+    assert [call.args[-1] for call in kernel.call_args_list] == ([odd] if odd else [])
+    assert [h.order for h in got] == orders
+    for h in got:
+        ref = describing_function(rs, grid) if h.order == 1 else hosidf(rs, grid, h.order)
+        assert np.array_equal(h.omega, grid)
+        assert np.array_equal(h.values, ref.values), h.order
+        if h.order % 2 == 0:
+            assert not h.values.any()
+    with pytest.raises(ValueError, match="orders must be >= 1"):
+        harmonics(rs, grid, [*orders, 0])
+
+
+def test_harmonic_responses_leave_the_callers_grid_writeable():
+    grid = log_grid(1.0, 10.0, 5)
+    describing_function(clegg(), grid)
+    harmonics(fore(hz(3.0)), grid, (1, 2, 3))
+    assert grid.flags.writeable
 
 
 _rates = st.floats(0.5, 500.0)

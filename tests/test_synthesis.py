@@ -659,6 +659,15 @@ def test_controller_harmonics_reject_orders_below_one():
         controller_harmonics(spec, log_grid(1.0, 10.0, 5), (1, 0))
 
 
+@pytest.mark.parametrize("name", ["pid", "cglp-pid"])
+@pytest.mark.parametrize("grid", [[0.0, 1.0], [-5.0], 5.0])
+def test_controller_harmonics_check_the_grid_of_every_spec(suite, name, grid):
+    with pytest.raises(ValueError, match="grid must be positive"):
+        controller_harmonic(suite[name], grid)
+    with pytest.raises(ValueError, match="grid must be positive"):
+        controller_harmonics(suite[name], grid, (1, 3))
+
+
 def test_controller_spec_is_frozen(suite):
     import dataclasses
 
