@@ -39,6 +39,14 @@ class SingularFrequencyError(ArithmeticError):
         self.cond = cond
 
 
+def frozen_array(a, dtype=float):
+    """A read-only copy of ``a`` for a value type to own: the caller's
+    array stays writeable, and writing to it cannot change the value."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def hz(f):
     """Convert Hz to rad/s (scalar or array)."""
     return TWO_PI * np.asarray(f, dtype=float) if np.ndim(f) else TWO_PI * float(f)
@@ -145,16 +153,14 @@ class StateSpace:
     """SISO state-space realization (A, B, C, D); arrays are frozen."""
 
     def __init__(self, A, B, C, D=0.0):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.asarray(B, dtype=float).reshape(-1, 1)
-        C = np.asarray(C, dtype=float).reshape(1, -1)
+        A = np.atleast_2d(frozen_array(A))
+        B = frozen_array(B).reshape(-1, 1)
+        C = frozen_array(C).reshape(1, -1)
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
         if B.shape != (n, 1) or C.shape != (1, n):
             raise ValueError("B must be n x 1 and C must be 1 x n")
-        for m in (A, B, C):
-            m.setflags(write=False)
         self.A, self.B, self.C = A, B, C
         self.D = float(np.asarray(D).reshape(()))
 
@@ -227,14 +233,12 @@ class FrequencyResponse:
     values: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        omega = frozen_array(self.omega)
+        values = frozen_array(self.values, complex)
         if omega.ndim != 1 or values.shape != omega.shape:
             raise ValueError("omega and values must be 1-D and the same length")
         if omega.size and (np.any(omega <= 0) or np.any(np.diff(omega) <= 0)):
             raise ValueError("omega must be strictly increasing and positive")
-        omega.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
 

@@ -8,7 +8,8 @@ steady-state output contains the excitation frequency plus odd harmonics.
 for even n), the odd ones from one kernel pass; ``describing_function``
 (first harmonic) and ``hosidf`` (n-th harmonic) are its one-order cases, and
 ``describing_function_gamma_batch`` (first harmonic for many reset maps)
-calls the same kernel.
+calls the same kernel.  The tuner reads the kernel's frequency blocks as
+they are made, so it never holds the (frequency, map) output.
 
 With E = e^{(pi/omega) A}, Delta = I + E and Lambda = omega^2 I + A^2, the
 jump enters every harmonic only through v(omega, gamma) = Delta (x -
@@ -18,16 +19,16 @@ and harmonic n >= 3 is -j (2w^2/pi) C (jnwI - A)^-1 v.  The kernel computes
 the frequency-only pieces once per call, E in closed form (divided
 differences of the exponential for a lower-bidiagonal A: every lag chain,
 clegg, fore; cosh and sinh for the 2x2 sore; otherwise scipy's ``expm``,
-imported on first use), and solves for x in blocks of (omega, gamma)
-points: by forward substitution when A is lower triangular (once per
-prefix gamma_1..gamma_i for state i on a product grid of maps, so only the
-last reset state costs a pass per map), by batched LAPACK otherwise.  The
-triangular path screens the jump resolvents' conditioning once per
-frequency for the whole batch, the other path once per point; where the
-screen fails, the exact cond_2 of each map decides.  The simulator has its
-own scaling-and-squaring ``expm`` for every A, so the time-domain oracle
-shares no exponential code with the closed form.  Everything is a pure
-function of immutable inputs.
+imported on first use), and solves for x in blocks of at most
+_BLOCK_POINTS (omega, gamma) points: by forward substitution when A is
+lower triangular (once per prefix gamma_1..gamma_i for state i on a product
+grid of maps, so only the last reset state costs a pass per map), by
+batched LAPACK otherwise.  The triangular path screens the jump
+resolvents' conditioning once per frequency for the whole batch, the other
+path once per point; where the screen fails, the exact cond_2 of each map
+decides.  The simulator has its own scaling-and-squaring ``expm`` for
+every A, so the time-domain oracle shares no exponential code with the
+closed form.  Everything is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .lti import SingularFrequencyError, StateSpace, to_hz, write_rows
+from .lti import SingularFrequencyError, StateSpace, frozen_array, to_hz, write_rows
 
 _HURWITZ_TOL = 1e-9
 _COND_LIMIT = 1e14
-#: (omega, gamma) points per resolvent block: bounds the kernel's working memory
+#: (omega, gamma) points per resolvent block: bounds the kernel's working
+#: memory, and the tuner's, which reduces each block as it is made
 _BLOCK_POINTS = 1 << 15
 #: terms of the divided-difference Taylor series (see _dd_taylor)
 _TAYLOR_TERMS = 18
@@ -61,7 +63,7 @@ class ResetSystem:
     """
 
     def __init__(self, base: StateSpace, n_r: int, gamma, allow_marginal=False):
-        gamma = np.atleast_1d(np.asarray(gamma, dtype=float))
+        gamma = np.atleast_1d(frozen_array(gamma))
         if not (0 <= n_r <= base.order):
             raise ValueError(f"n_r must lie in [0, {base.order}], got {n_r}")
         if gamma.shape != (n_r,):
@@ -73,7 +75,6 @@ class ResetSystem:
             raise ValueError("base A has eigenvalues in the open right half plane")
         if np.any(np.abs(re) <= _HURWITZ_TOL) and not allow_marginal:
             raise ValueError("base A is marginal; pass allow_marginal=True if intended")
-        gamma.setflags(write=False)
         self.base = base
         self.n_r = int(n_r)
         self.gamma = gamma
@@ -162,16 +163,14 @@ class HarmonicResponse:
     values: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        omega = frozen_array(self.omega)
+        values = frozen_array(self.values, complex)
         if omega.shape != values.shape or omega.ndim != 1:
             raise ValueError("omega and values must be 1-D and the same length")
         if self.order < 1:
             raise ValueError("harmonic order must be >= 1")
         if self.order % 2 == 0 and np.any(values != 0):
             raise ValueError("even harmonics are exactly zero for reset elements")
-        omega.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
 
@@ -184,9 +183,8 @@ class HarmonicResponse:
 
 
 def check_grid(grid):
-    """A copy of a harmonic grid as a float array (a response may freeze it,
-    not the caller's grid): one axis of positive omega."""
-    grid = np.array(grid, dtype=float)
+    """A harmonic grid as a float array: one axis of positive omega."""
+    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(grid <= 0):
         raise ValueError("grid must be positive and 1-D")
     return grid
@@ -399,45 +397,73 @@ def _shifted_solve(A, s, rhs):
         raise
 
 
-def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
+def _harmonic_blocks(base: StateSpace, n_r, gammas, grid, orders):
     """Gains of the odd harmonics ``orders`` for each reset map in
-    ``gammas`` (G, n_r) on the grid: a (len(orders), G, F) array.  See the
-    module docstring for the formula."""
+    ``gammas`` (G, n_r) on the grid, one block of frequencies at a time:
+    yields (fs, gains), gains the (len(orders), nf, G) array at the nf
+    frequencies grid[fs], in order.  A block holds at most _BLOCK_POINTS
+    (omega, map) points, or one frequency when G is larger, and an empty
+    grid is one empty block.  Every block is written into one buffer, which
+    the next block overwrites; when the grid fits one block, that buffer is
+    the whole (len(orders), F, G) output.  See the module docstring for the
+    formula."""
     A, n, F, G = base.A, base.order, grid.size, gammas.shape[0]
     # output rows C (jnwI - A)^-1, solved against C^T
     rows = [_shifted_solve(A.T, 1j * order * grid, base.C.T) for order in orders]
-    # laid out (order, F, G) so each frequency block is contiguous
-    out = np.empty((len(orders), F, G), dtype=complex)
-    for k, order in enumerate(orders):
-        # the linear part solves against B, the same route as StateSpace(s)
-        out[k] = (base.C @ _shifted_solve(A, 1j * grid, base.B)[..., None]
-                  + base.D)[:, 0] if order == 1 else 0.0
+    step = max(1, _BLOCK_POINTS // max(G, 1))
+    buf = np.empty((len(orders), min(step, F), G), dtype=complex)
+    # the linear part solves against B, the same route as StateSpace(s)
+    linear = ((base.C @ _shifted_solve(A, 1j * grid, base.B)[..., None] + base.D)[:, 0]
+              if 1 in orders else None)
     identity = np.flatnonzero(np.all(gammas == 1.0, axis=1))
-    if n_r == 0 or identity.size == G:
-        return out.transpose(0, 2, 1)
-    E, lam = _frequency_matrices(A, grid)
-    delta = np.eye(n) + E
-    lam_b = np.linalg.solve(lam, np.broadcast_to(base.B, (F, n, 1)))[..., 0]
-    m = (delta @ lam_b[..., None])[..., 0]
-    # fold -j (2w^2/pi) Delta into each row, so harmonic += q . (x - lam_b)
-    jump = (-2j * grid**2 / np.pi)[:, None]
-    qs = [jump * (row[:, None, :] @ delta)[:, 0] for row in rows]
-    g = np.ones((G, n))
-    g[:, :n_r] = gammas
-    lower = not np.triu(A, 1).any()
-    if lower:   # one screen for the whole call: the bound is per frequency
-        factors = _grid_factors(gammas, n)
-        _check_resolvent(E, g, _resolvent_bound(E, factors)[:, None], grid)
-    pad = (1,) * factors[0].ndim if lower else (1,)
-    step = max(1, _BLOCK_POINTS // G)
-    for fs in (slice(f0, f0 + step) for f0 in range(0, F, step)):
-        x = (_solve_lower(E[fs], factors, m[fs]) if lower
-             else _solve_general(E[fs], g, m[fs], grid[fs]))
-        y = [x[i] - lam_b[fs, i].reshape(-1, *pad) for i in range(n)]
-        for k, q in enumerate(qs):
-            term = sum(q[fs, i].reshape(-1, *pad) * y[i] for i in range(n)).reshape(-1, G)
-            term[:, identity] = 0.0   # no jump: v = 0 exactly
-            out[k, fs] += term
+    jumps = n_r > 0 and identity.size < G
+    if jumps:
+        E, lam = _frequency_matrices(A, grid)
+        delta = np.eye(n) + E
+        lam_b = np.linalg.solve(lam, np.broadcast_to(base.B, (F, n, 1)))[..., 0]
+        m = (delta @ lam_b[..., None])[..., 0]
+        # fold -j (2w^2/pi) Delta into each row, so harmonic += q . (x - lam_b)
+        jump = (-2j * grid**2 / np.pi)[:, None]
+        qs = [jump * (row[:, None, :] @ delta)[:, 0] for row in rows]
+        g = np.ones((G, n))
+        g[:, :n_r] = gammas
+        lower = not np.triu(A, 1).any()
+        if lower:   # one screen for the whole call: the bound is per frequency
+            factors = _grid_factors(gammas, n)
+            _check_resolvent(E, g, _resolvent_bound(E, factors)[:, None], grid)
+        pad = (1,) * factors[0].ndim if lower else (1,)
+    for fs in (slice(f0, min(f0 + step, F)) for f0 in range(0, max(F, 1), step)):
+        gains = buf[:, :fs.stop - fs.start]
+        for k, order in enumerate(orders):
+            gains[k] = linear[fs] if order == 1 else 0.0
+        if jumps:
+            x = (_solve_lower(E[fs], factors, m[fs]) if lower
+                 else _solve_general(E[fs], g, m[fs], grid[fs]))
+            for i in range(n):   # x - Lambda^-1 B, in place
+                x[i] -= lam_b[fs, i].reshape(-1, *pad)
+            for k, q in enumerate(qs):
+                # the last state's term has the block's full shape: the other
+                # states' sum adds into it (addition commutes, so the bits are
+                # those of the sum in state order)
+                term = q[fs, n - 1].reshape(-1, *pad) * x[n - 1]
+                term += sum(q[fs, i].reshape(-1, *pad) * x[i] for i in range(n - 1))
+                term = term.reshape(-1, G)
+                term[:, identity] = 0.0   # no jump: v = 0 exactly
+                gains[k] += term
+        yield fs, gains
+
+
+def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
+    """The `_harmonic_blocks` gains on the whole grid: a (len(orders), G, F)
+    array."""
+    blocks = _harmonic_blocks(base, n_r, gammas, grid, orders)
+    fs, gains = next(blocks)
+    if fs.stop == grid.size:   # the one block's buffer is the output: no copy
+        return gains.transpose(0, 2, 1)
+    out = np.empty((len(orders), grid.size, gammas.shape[0]), dtype=complex)
+    out[:, fs] = gains
+    for fs, gains in blocks:
+        out[:, fs] = gains
     return out.transpose(0, 2, 1)
 
 
@@ -479,9 +505,7 @@ def hosidf(rs: ResetSystem, grid, n: int) -> HarmonicResponse:
 def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.ndarray:
     """First-harmonic gains for many gamma vectors at once.
 
-    ``gammas`` is (G, n_r); returns a (G, len(grid)) complex array, the
-    transpose of a C-contiguous (len(grid), G) array (only speed depends on
-    that: a caller can walk it one frequency row at a time).  The
+    ``gammas`` is (G, n_r); returns a (G, len(grid)) complex array.  The
     frequency-only work is shared by the whole batch, which is what makes
     exhaustive reset-map tuning affordable.
     """

@@ -25,7 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .lti import StateSpace, TransferFunction, series_ss, tf_to_ss
+from .lti import StateSpace, TransferFunction, frozen_array, series_ss, tf_to_ss
 from .reset import ResetSystem
 from .synthesis import ControllerSpec
 
@@ -73,12 +73,9 @@ class Trajectory:
     peak_snap: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        r = np.asarray(self.r, dtype=float)
+        t, r = frozen_array(self.t), frozen_array(self.r)
         if t.shape != r.shape or t.ndim != 1:
             raise ValueError("t and r must be 1-D and the same length")
-        t.setflags(write=False)
-        r.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "r", r)
 

@@ -31,10 +31,10 @@ from .lti import (
 from .reset import (
     HarmonicResponse,
     ResetSystem,
+    _harmonic_blocks,
     _product_grid,
     check_grid,
     describing_function,
-    describing_function_gamma_batch,
     fore,
     harmonics,
     lag_chain,
@@ -296,15 +296,18 @@ def _tune_scorer(crone: CroneApprox, target):
     tail = np.degrees(np.cumsum(pinv_row[::-1])[-2::-1])
 
     def score(gammas):
-        # one frequency row (G,) at a time, in place in the kernel's (F, G)
-        # output: each map's sums run in frequency order whatever the batch
-        rows = describing_function_gamma_batch(linear.c_r.base, n, gammas, grid).T
+        # one frequency row (G,) at a time, in place in the kernel's blocks,
+        # so no (F, G) array is built: each map's sums run in frequency
+        # order whatever the batch
         gs, ps = np.zeros(len(gammas)), np.zeros(len(gammas))
-        for f, row in enumerate(rows):
-            row *= lin_vals[f]
-            gs += 20.0 * np.log10(np.abs(row)) * pinv_row[f]
-            if f:   # the phase increment from the previous frequency
-                ps += np.angle(row * rows[f - 1].conj()) * tail[f - 1]
+        for fs, gains in _harmonic_blocks(linear.c_r.base, n, gammas, grid, (1,)):
+            for f, row in enumerate(gains[0], fs.start):
+                row *= lin_vals[f]
+                gs += 20.0 * np.log10(np.abs(row)) * pinv_row[f]
+                if f:   # the phase increment from the previous frequency
+                    ps += np.angle(row * prev.conj()) * tail[f - 1]
+                prev = row
+            prev = prev.copy()   # the next block overwrites the kernel's buffer
         return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
     return score
 

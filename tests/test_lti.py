@@ -237,6 +237,34 @@ def test_frequency_response_validation():
         FrequencyResponse(np.array([-1.0, 1.0]), np.array([1 + 0j, 1 + 0j]))
 
 
+def test_value_types_own_read_only_copies_of_their_arrays():
+    from resetloop.lti import StateSpace
+    from resetloop.reset import HarmonicResponse, ResetSystem
+    from resetloop.sim import Trajectory
+
+    A, B, C = np.array([[-2.0]]), np.array([[1.0]]), np.array([[3.0]])
+    gamma = np.array([0.5])
+    omega, values = np.array([1.0, 2.0]), np.array([1.0 + 1.0j, 2.0 + 0.0j])
+    t, r = np.array([0.0, 1.0]), np.array([0.0, 2.0])
+    ss = StateSpace(A, B, C)
+    built = [   # (value, its fields, the caller's arrays it was built from)
+        (ss, ("A", "B", "C"), (A, B, C)),
+        (ResetSystem(ss, 1, gamma), ("gamma",), (gamma,)),
+        (FrequencyResponse(omega, values), ("omega", "values"), (omega, values)),
+        (HarmonicResponse(omega, 1, values), ("omega", "values"), (omega, values)),
+        (Trajectory("step", t, r), ("t", "r"), (t, r)),
+    ]
+    held = [[getattr(v, f).copy() for f in fields] for v, fields, _ in built]
+    for _, _, inputs in built:
+        for a in inputs:
+            assert a.flags.writeable
+            a *= 3.0
+    for (value, fields, _), before in zip(built, held):
+        for f, b in zip(fields, before):
+            got = getattr(value, f)
+            assert not got.flags.writeable and np.array_equal(got, b), (value, f)
+
+
 def test_plant_values_agree_across_plant_forms():
     plant = stage_plant()
     grid = log_grid(1.0, 1000.0, 10)

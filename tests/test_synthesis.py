@@ -344,18 +344,19 @@ def test_tune_scores_match_the_unwrap_reference(cloc1_ladder, monkeypatch):
     assert result.objective == pytest.approx(ref.objective, rel=1e-12)
 
 
-def test_tune_score_peaks_near_the_kernel_output(cloc1_ladder, monkeypatch):
-    # the scorer reduces the kernel's (F, G) output a frequency row at a
-    # time, so one score of the coarse 21^3 chunk stays near that array
+def test_tune_score_peaks_well_below_the_kernel_output(cloc1_ladder, monkeypatch):
+    # the scorer reduces the kernel's frequency blocks a row at a time and
+    # never builds its (F, G) output, so one score of the coarse 21^3 chunk
+    # peaks at a fraction of that array
     gammas = _product_grid([_gamma_grid_values(0.1)] * 3)
     score = _tune_scorer(cloc1_ladder, (-10.0, 125.0))
     sizes = []
-    batch = resetloop.synthesis.describing_function_gamma_batch
+    blocks = resetloop.synthesis._harmonic_blocks
 
-    def spy(base, n_r, gammas, grid):
+    def spy(base, n_r, gammas, grid, orders):
         sizes.append(grid.size)
-        return batch(base, n_r, gammas, grid)
-    monkeypatch.setattr(resetloop.synthesis, "describing_function_gamma_batch", spy)
+        return blocks(base, n_r, gammas, grid, orders)
+    monkeypatch.setattr(resetloop.synthesis, "_harmonic_blocks", spy)
     score(gammas)
     tracemalloc.start()
     try:
@@ -363,7 +364,53 @@ def test_tune_score_peaks_near_the_kernel_output(cloc1_ladder, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * len(gammas) * sizes[0] * 16
+    assert peak <= 1.3 * len(gammas) * sizes[0] * 16 / 3
+
+
+def _same_bits(a, b):
+    """Equal arrays down to the sign of zero, nested in lists or tuples."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 11, 66, 67])
+def test_kernel_blocks_split_anywhere_without_changing_a_bit(cloc1_ladder, monkeypatch,
+                                                           rows):
+    # blocks of `rows` frequencies split a 67-point grid, all but 5 and 67
+    # ending in a 1-frequency block.  The scorer carries each block's last
+    # row into the next block, whose gains overwrite the kernel's buffer
+    gammas = _product_grid([_gamma_grid_values(0.1)] * 3)
+    score = _tune_scorer(cloc1_ladder, (-10.0, 125.0))
+    chain = split_reset(cloc1_ladder, np.full(3, 0.3)).c_r   # lower-triangular A
+    lag2 = resetloop.reset.sore(hz(30.0), 0.7, [0.2, -0.4])   # general A
+    chain_maps = _product_grid([np.linspace(-1.0, 1.0, 5)] * 3)
+    lag2_maps = _product_grid([np.linspace(-0.9, 0.9, 4)] * 2)
+    grid = np.geomspace(1.0, 1e4, 67)
+    calls = [   # (maps per call, call)
+        (len(gammas), lambda: score(gammas)),
+        (1, lambda: [h.values for h in resetloop.reset.harmonics(chain, grid, (1, 3, 5))]),
+        (1, lambda: [h.values for h in resetloop.reset.harmonics(lag2, grid, (1, 3, 5))]),
+        (len(chain_maps),
+         lambda: describing_function_gamma_batch(chain.base, 3, chain_maps, grid)),
+        (len(lag2_maps),
+         lambda: describing_function_gamma_batch(lag2.base, 2, lag2_maps, grid)),
+    ]
+    default = [call() for _, call in calls]
+    blocks, sizes = resetloop.reset._harmonic_blocks, []
+
+    def spy(*args):
+        for fs, gains in blocks(*args):
+            sizes.append(fs.stop - fs.start)
+            yield fs, gains
+    monkeypatch.setattr(resetloop.reset, "_harmonic_blocks", spy)
+    monkeypatch.setattr(resetloop.synthesis, "_harmonic_blocks", spy)
+    for (maps, call), expected in zip(calls, default):
+        monkeypatch.setattr(resetloop.reset, "_BLOCK_POINTS", rows * maps)
+        sizes.clear()
+        assert _same_bits(call(), expected)
+        assert sizes == [rows] * (67 // rows) + [67 % rows] * (67 % rows > 0)
 
 
 def test_tuner_result_does_not_depend_on_the_chunk_size(cloc1_ladder, monkeypatch):
@@ -379,12 +426,12 @@ def test_tuner_kernel_calls_stay_within_the_chunk_size(small_skeleton, monkeypat
     target = (-10.0, 80.0)
     whole = tune_arho(small_skeleton, target, delta=0.25)
     sizes = []
-    batch = resetloop.synthesis.describing_function_gamma_batch
+    blocks = resetloop.synthesis._harmonic_blocks
 
-    def spy(base, n_r, gammas, grid):
+    def spy(base, n_r, gammas, grid, orders):
         sizes.append(len(gammas))
-        return batch(base, n_r, gammas, grid)
-    monkeypatch.setattr(resetloop.synthesis, "describing_function_gamma_batch", spy)
+        return blocks(base, n_r, gammas, grid, orders)
+    monkeypatch.setattr(resetloop.synthesis, "_harmonic_blocks", spy)
     monkeypatch.setattr(resetloop.synthesis, "TUNE_CHUNK_POINTS", 7)
     assert tune_arho(small_skeleton, target, delta=0.25) == whole
     assert max(sizes) == 7 and sum(sizes) == 9**2 + 3 * 21**2
