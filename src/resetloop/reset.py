@@ -25,14 +25,21 @@ lower triangular (once per prefix gamma_1..gamma_i for state i on a product
 grid of maps, so only the last reset state costs a pass per map), by
 batched LAPACK otherwise.  The triangular path screens the jump
 resolvents' conditioning once per frequency for the whole batch, the other
-path once per point; where the screen fails, the exact cond_2 of each map
-decides.  The simulator has its own scaling-and-squaring ``expm`` for
-every A, so the time-domain oracle shares no exponential code with the
-closed form.  Everything is a pure function of immutable inputs.
+path once per point, and Lambda is screened once per frequency; where a
+screen fails, the exact cond_2 of each matrix decides.  ``ResetSystem``
+reads the stability of a triangular or 2x2 base from its structure.  So
+every element this module builds, and every set-up from them, reaches
+neither LAPACK's general eigensolver nor its SVD; a base of any other
+shape (the simulator's realized chains) and the exact fallbacks still do.
+Each kernel block is written in place into one reused buffer.  The
+simulator has its own scaling-and-squaring ``expm`` for every A, so the
+time-domain oracle shares no exponential code with the closed form.
+Everything is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -63,14 +70,10 @@ class ResetSystem:
     """
 
     def __init__(self, base: StateSpace, n_r: int, gamma, allow_marginal=False):
-        gamma = np.atleast_1d(frozen_array(gamma))
         if not (0 <= n_r <= base.order):
             raise ValueError(f"n_r must lie in [0, {base.order}], got {n_r}")
-        if gamma.shape != (n_r,):
-            raise ValueError(f"gamma must have length n_r = {n_r}")
-        if not np.all(np.abs(gamma) <= 1.0):
-            raise ValueError("each gamma_i must lie in [-1, 1]")
-        re = np.real(np.linalg.eigvals(base.A)) if base.order else np.array([])
+        gamma = _checked_gamma(gamma, n_r)
+        re = _eigen_real_parts(base.A)
         if np.any(re > _HURWITZ_TOL):
             raise ValueError("base A has eigenvalues in the open right half plane")
         if np.any(np.abs(re) <= _HURWITZ_TOL) and not allow_marginal:
@@ -91,11 +94,46 @@ class ResetSystem:
         return np.diag(d)
 
     def with_gamma(self, gamma):
-        return ResetSystem(self.base, self.n_r, gamma, allow_marginal=self.allow_marginal)
+        """The same element with reset factors ``gamma``; only gamma is
+        checked, the base having passed when this element was built."""
+        rs = copy.copy(self)
+        rs.gamma = _checked_gamma(gamma, self.n_r)
+        return rs
 
     def __repr__(self):
         return (f"ResetSystem(order={self.order}, n_r={self.n_r}, "
                 f"gamma={np.array2string(self.gamma, separator=', ')})")
+
+
+def _checked_gamma(gamma, n_r):
+    """gamma as a read-only float array of n_r factors, each in [-1, 1]."""
+    gamma = np.atleast_1d(frozen_array(gamma))
+    if gamma.shape != (n_r,):
+        raise ValueError(f"gamma must have length n_r = {n_r}")
+    if not np.all(np.abs(gamma) <= 1.0):
+        raise ValueError("each gamma_i must lie in [-1, 1]")
+    return gamma
+
+
+def _eigen_real_parts(A):
+    """Real parts of the eigenvalues of A: the diagonal of a triangular A,
+    the roots of the characteristic polynomial of a 2x2 one, and LAPACK's
+    general eigensolver for any other A, for a non-finite A (which LAPACK
+    rejects) and for a 2x2 whose roots overflow."""
+    if np.isfinite(A).all():
+        if not (np.triu(A, 1).any() and np.tril(A, -1).any()):
+            return np.diag(A)
+        if A.shape[0] == 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu, d2 = _pair(A)
+                if d2 <= 0:   # a complex or double pair mu +- j sqrt(-d2)
+                    re = np.array([mu, mu])
+                else:   # the larger root, then det / root: no cancellation
+                    r = mu + math.copysign(math.sqrt(d2), mu)
+                    re = np.array([r, (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) / r])
+            if np.isfinite(re).all():
+                return re
+    return np.real(np.linalg.eigvals(A))
 
 
 def clegg() -> ResetSystem:
@@ -273,8 +311,7 @@ def _expm_2x2(A, t):
     mu = tr(A) / 2 and d^2 = ((a11 - a22) / 2)^2 + a12 a21, exact at d = 0.
     A real pair is written with e^{(mu + d) t} and e^{(mu - d) t}, which
     cannot meet 0 * inf as e^{mu t} cosh(d t) can."""
-    mu = 0.5 * (A[0, 0] + A[1, 1])
-    d2 = (0.5 * (A[0, 0] - A[1, 1])) ** 2 + A[0, 1] * A[1, 0]
+    mu, d2 = _pair(A)
     if d2 < 0:   # complex pair mu +- j w
         w, e = np.sqrt(-d2), np.exp(mu * t)
         c, s = e * np.cos(w * t), e * np.sin(w * t) / w
@@ -286,26 +323,57 @@ def _expm_2x2(A, t):
     return c[:, None, None] * np.eye(2) + s[:, None, None] * (A - mu * np.eye(2))
 
 
+def _pair(A):
+    """mu = tr(A) / 2 and d^2 = ((a11 - a22) / 2)^2 + a12 a21 of a 2x2 A,
+    whose eigenvalues are mu +- d."""
+    mu = 0.5 * (A[0, 0] + A[1, 1])
+    return mu, (0.5 * (A[0, 0] - A[1, 1])) ** 2 + A[0, 1] * A[1, 0]
+
+
+def _frobenius_bound(M):
+    """||M||_F ||M^-1||_F over a stack of matrices (..., n, n): an upper
+    bound on each cond_2, infinite for the whole stack when one matrix is
+    exactly singular.  A 1x1 matrix has cond_2 = 1 unless it is 0, infinite
+    or NaN, where the bound is infinite."""
+    if M.shape[-1] == 1:
+        m = np.abs(M[..., 0, 0])
+        return np.where((m > 0) & (m < np.inf), 1.0, np.inf)
+    try:
+        return (np.linalg.norm(M, axis=(-2, -1))
+                * np.linalg.norm(np.linalg.inv(M), axis=(-2, -1)))
+    except np.linalg.LinAlgError:
+        return np.full(M.shape[:-2], np.inf)
+
+
 def _frequency_matrices(A, grid):
     """E = e^{(pi/omega) A} and Lambda = omega^2 I + A^2 stacked over the
-    grid, (F, n, n) each."""
+    grid, (F, n, n) each.  Lambda is screened by _frobenius_bound, and the
+    exact cond_2 decides only where the bound exceeds half the limit: near
+    the limit both are only good to a few per cent, so a bound just under
+    it must not overrule an exact cond_2 just over it."""
     E = _expm_grid(A, np.pi / grid)
     lam = (grid**2)[:, None, None] * np.eye(A.shape[0]) + A @ A
-    _guard(np.linalg.cond(lam), grid, "Lambda(omega)")
+    fail = ~(_frobenius_bound(lam) <= 0.5 * _COND_LIMIT)
+    if fail.any():
+        _guard(np.linalg.cond(lam[fail]), grid[fail], "Lambda(omega)")
     return E, lam
 
 
 def _check_resolvent(E, g, bound, grid):
-    """Guard the jump resolvent I + diag(g) E.  ``bound`` (F, G), or (F, 1)
-    for one per frequency, bounds its cond_2 from above at each point; the
+    """Guard the jump resolvent I + diag(g) E for the reset maps g (G, n_r),
+    each padded with ones to the order n.  ``bound`` (F, G), or (F, 1) for
+    one per frequency, bounds its cond_2 from above at each point; the
     exact value is computed only where the bound fails (or is NaN), in
     blocks of _BLOCK_POINTS in (omega, map) order."""
     fail = ~(bound <= _COND_LIMIT)
     if not fail.any():
         return
+    n = E.shape[-1]
     f, k = np.nonzero(np.broadcast_to(fail, (E.shape[0], g.shape[0])))
     for b in (slice(p, p + _BLOCK_POINTS) for p in range(0, f.size, _BLOCK_POINTS)):
-        M = np.eye(E.shape[-1]) + g[k[b]][:, :, None] * E[f[b]]
+        gb = np.ones((k[b].size, n))
+        gb[:, :g.shape[1]] = g[k[b]]
+        M = np.eye(n) + gb[:, :, None] * E[f[b]]
         _guard(np.linalg.cond(M), grid[f[b]], "I + A_R e^(pi A/omega)")
 
 
@@ -377,12 +445,7 @@ def _solve_lower(E, factors, m):
 def _solve_general(E, g, m, grid):
     """The same solve for any E, batched over (F, G) points; x is (n, F, G)."""
     M = np.eye(E.shape[-1]) + g[None, :, :, None] * E[:, None, :, :]
-    try:
-        bound = (np.linalg.norm(M, axis=(2, 3))
-                 * np.linalg.norm(np.linalg.inv(M), axis=(2, 3)))
-    except np.linalg.LinAlgError:
-        bound = np.full(M.shape[:2], np.inf)
-    _check_resolvent(E, g, bound, grid)
+    _check_resolvent(E, g, _frobenius_bound(M), grid)
     rhs = g[None, :, :, None] * m[:, None, :, None]
     return np.moveaxis(np.linalg.solve(M, rhs)[..., 0], -1, 0)
 
@@ -425,31 +488,35 @@ def _harmonic_blocks(base: StateSpace, n_r, gammas, grid, orders):
         # fold -j (2w^2/pi) Delta into each row, so harmonic += q . (x - lam_b)
         jump = (-2j * grid**2 / np.pi)[:, None]
         qs = [jump * (row[:, None, :] @ delta)[:, 0] for row in rows]
-        g = np.ones((G, n))
-        g[:, :n_r] = gammas
         lower = not np.triu(A, 1).any()
         if lower:   # one screen for the whole call: the bound is per frequency
             factors = _grid_factors(gammas, n)
-            _check_resolvent(E, g, _resolvent_bound(E, factors)[:, None], grid)
+            _check_resolvent(E, gammas, _resolvent_bound(E, factors)[:, None], grid)
+        else:
+            g = np.ones((G, n))
+            g[:, :n_r] = gammas
         pad = (1,) * factors[0].ndim if lower else (1,)
     for fs in (slice(f0, min(f0 + step, F)) for f0 in range(0, max(F, 1), step)):
         gains = buf[:, :fs.stop - fs.start]
-        for k, order in enumerate(orders):
-            gains[k] = linear[fs] if order == 1 else 0.0
         if jumps:
             x = (_solve_lower(E[fs], factors, m[fs]) if lower
                  else _solve_general(E[fs], g, m[fs], grid[fs]))
             for i in range(n):   # x - Lambda^-1 B, in place
                 x[i] -= lam_b[fs, i].reshape(-1, *pad)
-            for k, q in enumerate(qs):
-                # the last state's term has the block's full shape: the other
-                # states' sum adds into it (addition commutes, so the bits are
-                # those of the sum in state order)
-                term = q[fs, n - 1].reshape(-1, *pad) * x[n - 1]
+            for k, (q, order) in enumerate(zip(qs, orders)):
+                # written in place: the last state's term, which has the
+                # block's full shape, then the other states' sum, then the
+                # linear part (0.0 above the first order, which turns a -0.0
+                # to +0.0 as a zero start would); addition commutes, so the
+                # bits are those of linear + the sum in state order
+                term = gains[k].reshape(-1, *x[n - 1].shape[1:])
+                np.multiply(q[fs, n - 1].reshape(-1, *pad), x[n - 1], out=term)
                 term += sum(q[fs, i].reshape(-1, *pad) * x[i] for i in range(n - 1))
-                term = term.reshape(-1, G)
-                term[:, identity] = 0.0   # no jump: v = 0 exactly
-                gains[k] += term
+                gains[k][:, identity] = 0.0   # no jump: v = 0 exactly
+                gains[k] += linear[fs] if order == 1 else 0.0
+        else:
+            for k, order in enumerate(orders):
+                gains[k] = linear[fs] if order == 1 else 0.0
         yield fs, gains
 
 

@@ -296,18 +296,26 @@ def _tune_scorer(crone: CroneApprox, target):
     tail = np.degrees(np.cumsum(pinv_row[::-1])[-2::-1])
 
     def score(gammas):
-        # one frequency row (G,) at a time, in place in the kernel's blocks,
-        # so no (F, G) array is built: each map's sums run in frequency
-        # order whatever the batch
-        gs, ps = np.zeros(len(gammas)), np.zeros(len(gammas))
+        # one frequency row (G,) at a time, in place in the kernel's blocks
+        # and through three reused (G,) buffers, so no (F, G) array is
+        # built: each map's sums run in frequency order whatever the batch
+        G = len(gammas)
+        gs, ps = np.zeros(G), np.zeros(G)
+        t, z, prev_conj = np.empty(G), np.empty(G, complex), np.empty(G, complex)
         for fs, gains in _harmonic_blocks(linear.c_r.base, n, gammas, grid, (1,)):
             for f, row in enumerate(gains[0], fs.start):
                 row *= lin_vals[f]
-                gs += 20.0 * np.log10(np.abs(row)) * pinv_row[f]
+                np.log10(np.abs(row, out=t), out=t)   # 20 log10|row| pinv_row[f]
+                t *= 20.0
+                t *= pinv_row[f]
+                gs += t
                 if f:   # the phase increment from the previous frequency
-                    ps += np.angle(row * prev.conj()) * tail[f - 1]
-                prev = row
-            prev = prev.copy()   # the next block overwrites the kernel's buffer
+                    np.multiply(row, prev_conj, out=z)
+                    np.arctan2(z.imag, z.real, out=t)   # np.angle(z)
+                    t *= tail[f - 1]
+                    ps += t
+                # a copy: the next block overwrites the kernel's buffer
+                np.conjugate(row, out=prev_conj)
         return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
     return score
 

@@ -417,6 +417,39 @@ def test_cold_start_and_simulation_do_not_import_scipy(tmp_path):
     ])
 
 
+def test_cold_start_and_element_harmonics_call_no_eigen_or_svd_driver():
+    # triangular and 2x2 bases are classified from their structure and
+    # Lambda is screened by a bound, so set-up and the element harmonics
+    # never call LAPACK's general eigensolver or SVD
+    _run_fresh([
+        "import sys",
+        "import numpy as np",
+        "calls = []",
+        "# the public names, and the implementation module's, which cond calls",
+        "impl = (sys.modules.get('numpy.linalg._linalg')",
+        "        or sys.modules['numpy.linalg.linalg'])",
+        "for mod in (np.linalg, impl):",
+        "    for name in ('eigvals', 'svd', 'cond'):",
+        "        f = getattr(mod, name)",
+        "        setattr(mod, name, lambda *a, _f=f, _n=name, **k:",
+        "                calls.append(_n) or _f(*a, **k))",
+        "import resetloop.cli",
+        "from resetloop.lti import hz, log_grid, stage_plant",
+        "from resetloop.reset import describing_function, fore, hosidf, sore",
+        "from resetloop.specfile import _builtin_specs, build_controller",
+        "from resetloop.synthesis import build_benchmark_suite",
+        "build_benchmark_suite(stage_plant())",
+        "grid = log_grid(hz(0.5), hz(2000.0), 10)",
+        "for rs in (fore(hz(20.0), -0.5), sore(hz(20.0), 1.0, 0.5),",
+        "           build_controller(_builtin_specs()['cloc-1']).reset_part):",
+        "    describing_function(rs, grid)",
+        "    hosidf(rs, grid, 3)",
+        "assert not calls, calls",
+        "np.linalg.cond(np.eye(2))",   # the counters do see a call
+        "assert calls == ['cond', 'svd'], calls",
+    ])
+
+
 def test_unstructured_exponential_still_falls_back_to_scipy():
     _run_fresh([
         "import sys",

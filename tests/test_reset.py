@@ -23,8 +23,10 @@ from resetloop.reset import (
     HarmonicResponse,
     ResetSystem,
     _check_resolvent,
+    _eigen_real_parts,
     _expm_grid,
     _frequency_matrices,
+    _frobenius_bound,
     _grid_factors,
     _harmonics,
     clegg,
@@ -200,6 +202,77 @@ def test_unstable_base_rejected():
     base = StateSpace([[0.5]], [[1.0]], [[1.0]], 0.0)
     with pytest.raises(ValueError, match="right half plane"):
         ResetSystem(base, 1, [0.0], allow_marginal=True)
+
+
+def _stability(re):
+    tol = resetloop.reset._HURWITZ_TOL
+    if np.any(re > tol):
+        return "unstable"
+    return "marginal" if np.any(np.abs(re) <= tol) else "stable"
+
+
+def test_structured_eigenvalues_classify_as_lapack_does():
+    # every 2x2 matrix over a small set of entries, and random triangular
+    # ones of orders 1-5 with eigenvalues on and near the tolerance: the
+    # closed forms must call each stable, marginal or unstable exactly as
+    # LAPACK's eigenvalues do, without calling LAPACK
+    vals = [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+    mats = [np.reshape(e, (2, 2)) for e in itertools.product(vals, repeat=4)]
+    rng = np.random.default_rng(26)
+    for _ in range(1000):
+        n = int(rng.integers(1, 6))
+        d = rng.choice([-2.0, -1.0, -1e-8, -1e-10, 0.0, 1e-10, 1e-8, 1.0], size=n)
+        A = np.tril(rng.integers(-3, 4, (n, n)).astype(float), -1) + np.diag(d)
+        mats.append(A.T if rng.random() < 0.5 else A)
+    with mock.patch.object(np.linalg, "eigvals",
+                           side_effect=AssertionError("LAPACK route taken")):
+        got = [_stability(_eigen_real_parts(A)) for A in mats]
+    want = [_stability(np.real(np.linalg.eigvals(A))) for A in mats]
+    assert got == want
+    assert set(got) == {"stable", "marginal", "unstable"}
+    # a non-finite A, or a 2x2 whose roots overflow, is LAPACK's to judge
+    for A in ([[np.nan]], [[-1.0, 0.0], [np.inf, -1.0]], [[1e200, 1e200], [1e200, 1e200]]):
+        with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as spy:
+            try:
+                _eigen_real_parts(np.array(A))
+            except np.linalg.LinAlgError:
+                pass
+        assert spy.called
+    with pytest.raises(ValueError):
+        ResetSystem(StateSpace([[np.nan]], [[1.0]], [[1.0]], 0.0), 1, [0.0])
+
+
+def test_with_gamma_checks_only_the_new_gamma():
+    rs = lag_chain([1.0, 10.0], [0.0, 0.0])
+    checks = mock.patch.object(resetloop.reset, "_eigen_real_parts",
+                               wraps=_eigen_real_parts)
+    with checks as spy:
+        new = rs.with_gamma([0.5, -0.5])
+        for bad in ([0.5], [1.5, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="gamma"):
+                rs.with_gamma(bad)
+    assert not spy.called
+    assert new.base is rs.base and new.n_r == 2 and not new.allow_marginal
+    assert new.gamma.tolist() == [0.5, -0.5] and not new.gamma.flags.writeable
+    assert rs.gamma.tolist() == [0.0, 0.0]
+    assert clegg().with_gamma([-1.0]).allow_marginal
+    # a cloc build checks its ladder's base once, in lag_chain
+    with checks as spy:
+        build_controller(_builtin_specs()["cloc-1"])
+    assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("poles,gammas,err", [
+    ([0.0], [0.0], "pole frequencies must be positive"),
+    ([2.0, -1.0], [0.0, 0.0], "pole frequencies must be positive"),
+    ([], [], "pole frequencies must be positive"),
+    ([[1.0, 2.0]], [[0.0, 0.0]], "pole frequencies must be positive"),
+    ([1.0, 2.0], [0.0], "gamma length must match the pole count"),
+    ([1.0], [0.0, 0.0], "gamma length must match the pole count"),
+])
+def test_lag_chain_rejects_bad_poles_and_gammas(poles, gammas, err):
+    with pytest.raises(ValueError, match=err):
+        lag_chain(poles, gammas)
 
 
 def test_reset_matrix_structure():
@@ -444,6 +517,17 @@ def _chains(draw):
     return lag_chain(draw(st.permutations(poles)), np.zeros(len(poles))).base.A
 
 
+# a short lag chain with its couplings scaled up to 30-fold, so entries of
+# E reach into the hundreds while the resolvents stay well enough
+# conditioned for np.linalg.cond to be accurate to 1e-9
+def _coupled(poles, k):
+    A = lag_chain(poles, np.zeros(len(poles))).base.A
+    return A + (k - 1.0) * np.tril(A, -1)
+
+
+_coupled_chains = st.builds(_coupled, st.lists(_rates, min_size=2, max_size=3),
+                            st.floats(1.0, 30.0))
+
 _STRUCTURED = {
     "lag chain": _chains(),
     "sore, damping < 1": st.builds(lambda w, z: sore(w, z).base.A,
@@ -529,12 +613,12 @@ def test_expm_grid_sore_matches_mpmath():
             assert np.abs(Ek - ref).max() <= 5e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("kind", ["lag chain", "fore", "clegg"])
+@pytest.mark.parametrize("kind", ["lag chain", "coupled lag chain", "fore", "clegg"])
 @given(st.data())
 def test_lower_screen_bounds_every_condition_number(kind, data):
     # the triangular path screens a whole batch with one bound per
     # frequency; it must cover the exact cond_2 of every map it lets pass
-    A = data.draw(_STRUCTURED[kind])
+    A = data.draw(_coupled_chains if kind == "coupled lag chain" else _STRUCTURED[kind])
     n = A.shape[0]
     # near -1 with a slow pole at high omega, 1 + g_i e_ii nearly vanishes
     # and W^-1 is far from diagonal; every batch holds one such map
@@ -553,6 +637,76 @@ def test_lower_screen_bounds_every_condition_number(kind, data):
     for (E, g, bound, _), _ in spy.call_args_list:
         cond = np.linalg.cond(np.eye(n) + g[None, :, :, None] * E[:, None])
         assert np.all(~(bound <= 1e14) | (bound >= (1 - 1e-9) * cond))
+
+
+@st.composite
+def _general_stable(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tf_to_ss(random_stable_tf(rng)).A
+
+
+@pytest.mark.parametrize("kind", [*_STRUCTURED, "coupled lag chain", "general"])
+@given(st.data())
+def test_lambda_screen_bounds_every_condition_number(kind, data):
+    # Lambda = omega^2 I + A^2 is screened by ||.||_F ||.^-1||_F: wherever the
+    # screen passes it must cover the exact cond_2, and the error raised must
+    # be the one the exact cond_2 of every point gives; the grid also drives
+    # A at each of its eigenfrequencies, where Lambda is nearest singular
+    A = data.draw({**_STRUCTURED, "coupled lag chain": _coupled_chains,
+                   "general": _general_stable()}[kind])
+    n = A.shape[0]
+    poles = np.abs(np.linalg.eigvals(A))
+    grid = np.sort(np.concatenate([log_grid(0.05, 2e4, 8), poles[poles > 0]]))
+    lam = (grid**2)[:, None, None] * np.eye(n) + A @ A
+    bound, cond = _frobenius_bound(lam), np.linalg.cond(lam)
+    # the 2x2 bound is cond + 1/cond, tighter than cond is computed
+    slack = 1e-9 + n * np.finfo(float).eps * cond
+    assert np.all(~(bound <= 5e13) | (bound >= (1 - slack) * cond))
+    _assert_lambda_guard(A, grid, cond)
+
+
+def _assert_lambda_guard(A, grid, cond):
+    """_frequency_matrices raises at the first point whose exact cond_2 of
+    Lambda exceeds the limit, with that cond_2, and only then."""
+    bad = np.flatnonzero(cond > 1e14)
+    if not bad.size:
+        _frequency_matrices(A, grid)
+        return
+    with pytest.raises(SingularFrequencyError, match="Lambda") as err:
+        _frequency_matrices(A, grid)
+    assert (err.value.omega, err.value.cond) == (grid[bad[0]], cond[bad[0]])
+
+
+@pytest.mark.parametrize("omega_r", [1e7, 3e8])
+def test_lambda_guard_raises_for_a_lightly_damped_sore_at_its_pole(omega_r):
+    # at the pole Lambda's cond_2 is omega_r^2 whatever the damping, so
+    # 1e7 puts it at the limit itself: the screen fails there, and the
+    # exact cond_2 decides, at the pole alone
+    A = sore(omega_r, 1e-12).base.A
+    grid = omega_r * np.array([0.5, 1.0, 2.0])
+    lam = (grid**2)[:, None, None] * np.eye(2) + A @ A
+    cond = np.linalg.cond(lam)
+    assert cond[1] == pytest.approx(omega_r**2, rel=1e-6)
+    assert np.all(cond[[0, 2]] < 1e3) and _frobenius_bound(lam)[1] > 5e13
+    _assert_lambda_guard(A, grid, cond)
+    if cond[1] > 1e14:
+        with pytest.raises(SingularFrequencyError, match="Lambda"):
+            describing_function(sore(omega_r, 1e-12), grid)
+
+
+@pytest.mark.parametrize("rs", [clegg(), fore(1.0)])
+@pytest.mark.parametrize("omega", [1e-170, 1e200])
+def test_a_scalar_lambda_that_under_or_overflows_still_raises(rs, omega):
+    # a 1x1 Lambda skips LAPACK, but 0 and inf are still singular
+    grid = np.array([1.0, omega])
+    with np.errstate(over="ignore"):
+        lam = grid**2 + rs.base.A[0, 0] ** 2
+    if lam[1] == 1.0:   # fore at a tiny omega: Lambda = 1 + omega^2 is fine
+        _frequency_matrices(rs.base.A, grid)
+        return
+    with np.errstate(over="ignore"), pytest.raises(SingularFrequencyError) as err:
+        _frequency_matrices(rs.base.A, grid)
+    assert err.value.omega == omega and err.value.cond == np.inf
 
 
 def test_time_domain_oracle_shares_no_exponential_with_the_closed_form():

@@ -366,6 +366,18 @@ def test_oracle_even_harmonics_are_negligible():
     assert abs(gains[1]) < floor and abs(gains[3]) < floor
 
 
+def test_oracle_with_one_harmonic_meets_criterion_2():
+    # n_max = 1, the smallest order the oracle takes: the first harmonic
+    # alone, within 2 % in magnitude and 1 deg in phase of the closed form
+    rs = fore(hz(20.0), -0.5)
+    w = hz(30.0)
+    gains = steady_state_harmonics(rs, w, 1)
+    ref = describing_function(rs, [w]).values[0]
+    assert len(gains) == 1
+    assert abs(gains[0]) == pytest.approx(abs(ref), rel=0.02)
+    assert abs(np.degrees(np.angle(gains[0] / ref))) < 1.0
+
+
 def test_oracle_validates_sampling():
     with pytest.raises(ValueError, match="samples per period"):
         steady_state_harmonics(clegg(), 1.0, 3, samples_per_period=50)
