@@ -94,10 +94,10 @@ def _linear_response(d, grid) -> FrequencyResponse:
     return FrequencyResponse(grid, controller_harmonic(spec, grid, 1))
 
 
-def _write_harmonic_files(man, subdir, spec, grid, orders):
-    """harmonic_NN.csv per order in ``subdir`` (even orders are exact
-    zeros).  Every order is computed, in one pass, before the first file."""
-    for n, vals in zip(orders, controller_harmonics(spec, grid, orders)):
+def _write_harmonic_files(man, subdir, grid, orders, gains):
+    """harmonic_NN.csv in ``subdir`` for each order and its gains (even
+    orders are exact zeros)."""
+    for n, vals in zip(orders, gains):
         man.save(save_harmonics, [HarmonicResponse(grid, n, vals)],
                  subdir, f"harmonic_{n:02d}.csv")
 
@@ -161,8 +161,10 @@ def cmd_df(args):
         raise ValueError(f"--harmonics repeats an order: {args.harmonics}")
     spec = build_controller(_load_spec(args.spec))
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
+    # every order, in one pass, before --out exists: a failure leaves none
+    gains = controller_harmonics(spec, grid, args.harmonics)
     man = Manifest("df", args.out)
-    _write_harmonic_files(man, "", spec, grid, args.harmonics)
+    _write_harmonic_files(man, "", grid, args.harmonics, gains)
     man.write()
     print(f"wrote {len(args.harmonics)} harmonic file(s) to {args.out}")
     return 0
@@ -341,9 +343,9 @@ def cmd_reproduce(args):
 
     try:
         # resetting-integrator harmonics, orders 1..11
-        _write_harmonic_files(man, "01_clegg_harmonics",
-                              build_controller(builtins["clegg"]),
-                              log_grid(0.01, 100.0, 20), range(1, 12))
+        grid, orders = log_grid(0.01, 100.0, 20), range(1, 12)
+        gains = controller_harmonics(build_controller(builtins["clegg"]), grid, orders)
+        _write_harmonic_files(man, "01_clegg_harmonics", grid, orders, gains)
 
         # constant-gain lead-phase stage: reset vs no-reset limit
         grid = log_grid(1.0, 1000.0, 30)

@@ -20,19 +20,21 @@ the frequency-only pieces once per call, E in closed form (divided
 differences of the exponential for a lower-bidiagonal A: every lag chain,
 clegg, fore; cosh and sinh for the 2x2 sore; otherwise scipy's ``expm``,
 imported on first use), and solves for x in blocks of at most
-_BLOCK_POINTS (omega, gamma) points: by forward substitution when A is
-lower triangular (once per prefix gamma_1..gamma_i for state i on a product
-grid of maps, so only the last reset state costs a pass per map), by
-batched LAPACK otherwise.  The triangular path screens the jump
-resolvents' conditioning once per frequency for the whole batch, the other
-path once per point, and Lambda is screened once per frequency; where a
-screen fails, the exact cond_2 of each matrix decides.  ``ResetSystem``
-reads the stability of a triangular or 2x2 base from its structure.  So
-every element this module builds, and every set-up from them, reaches
-neither LAPACK's general eigensolver nor its SVD; a base of any other
-shape (the simulator's realized chains) and the exact fallbacks still do.
-Each kernel block is written in place into one reused buffer.  The
-simulator has its own scaling-and-squaring ``expm`` for every A, so the
+_BLOCK_POINTS (omega, gamma) points, for maps given as one array of
+factors per reset state (a batch's columns, or a product grid's axes): by
+forward substitution when A is lower triangular (elementwise, so on a
+product grid once per prefix gamma_1..gamma_i for state i, and only the
+last reset state costs a pass per map), by batched LAPACK otherwise.  The
+triangular path screens the jump resolvents' conditioning once per
+frequency for the whole batch, the other path once per point, and Lambda
+once per frequency; where a screen reads over half the limit, the exact
+cond_2 of each matrix decides, and a non-finite matrix is singular.
+``ResetSystem`` reads the stability of a triangular or 2x2 base from its
+structure.  So every element this module builds, and every set-up from
+them, reaches neither LAPACK's general eigensolver nor its SVD; a base of
+any other shape (the simulator's realized chains) and the exact fallbacks
+still do.  Each kernel block is written in place into one reused buffer.
+The simulator has its own scaling-and-squaring ``expm`` for every A, so the
 time-domain oracle shares no exponential code with the closed form.
 Everything is a pure function of immutable inputs.
 """
@@ -228,14 +230,29 @@ def check_grid(grid):
     return grid
 
 
-def _guard(cond, omega, what):
-    """Raise SingularFrequencyError at the first point whose condition
-    number exceeds the limit."""
-    bad = np.flatnonzero(cond > _COND_LIMIT)
-    if bad.size:
-        w, c = omega[bad[0]], cond[bad[0]]
-        raise SingularFrequencyError(f"{what} singular at omega = {w:g} rad/s "
-                                     f"(condition estimate {c:.3g})", omega=w, cond=c)
+def _guard(bound, omega, matrices, what, shape=None):
+    """Raise SingularFrequencyError at the first point (C order of
+    ``shape``, by default bound's) whose cond_2 exceeds the limit, omega
+    being the frequency along its first axis.  ``bound``, broadcast to
+    shape, bounds each cond_2 from above; the exact cond_2 of
+    matrices(*index) decides only where it exceeds half the limit or is NaN
+    (near the limit both are good to a few per cent), in blocks of
+    _BLOCK_POINTS.  A non-finite matrix counts as singular."""
+    fail = ~(bound <= 0.5 * _COND_LIMIT)
+    if not fail.any():
+        return
+    fail = np.nonzero(np.broadcast_to(fail, shape or fail.shape))
+    for p in range(0, fail[0].size, _BLOCK_POINTS):
+        at = tuple(i[p:p + _BLOCK_POINTS] for i in fail)
+        M = matrices(*at)
+        finite = np.isfinite(M).all(axis=(-2, -1))
+        cond = np.full(finite.shape, np.inf)
+        cond[finite] = np.linalg.cond(M[finite])
+        bad = np.flatnonzero(cond > _COND_LIMIT)
+        if bad.size:
+            w, c = omega[at[0][bad[0]]], cond[bad[0]]
+            raise SingularFrequencyError(f"{what} singular at omega = {w:g} rad/s "
+                                         f"(condition estimate {c:.3g})", omega=w, cond=c)
 
 
 def expm(M):
@@ -347,64 +364,34 @@ def _frobenius_bound(M):
 
 def _frequency_matrices(A, grid):
     """E = e^{(pi/omega) A} and Lambda = omega^2 I + A^2 stacked over the
-    grid, (F, n, n) each.  Lambda is screened by _frobenius_bound, and the
-    exact cond_2 decides only where the bound exceeds half the limit: near
-    the limit both are only good to a few per cent, so a bound just under
-    it must not overrule an exact cond_2 just over it."""
+    grid, (F, n, n) each, with Lambda screened by _frobenius_bound (see
+    _guard).  Where omega^2 overflows, Lambda is not finite and singular."""
     E = _expm_grid(A, np.pi / grid)
-    lam = (grid**2)[:, None, None] * np.eye(A.shape[0]) + A @ A
-    fail = ~(_frobenius_bound(lam) <= 0.5 * _COND_LIMIT)
-    if fail.any():
-        _guard(np.linalg.cond(lam[fail]), grid[fail], "Lambda(omega)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = (grid**2)[:, None, None] * np.eye(A.shape[0]) + A @ A
+        bound = _frobenius_bound(lam)
+    _guard(bound, grid, lambda f: lam[f], "Lambda(omega)")
     return E, lam
 
 
-def _check_resolvent(E, g, bound, grid):
-    """Guard the jump resolvent I + diag(g) E for the reset maps g (G, n_r),
-    each padded with ones to the order n.  ``bound`` (F, G), or (F, 1) for
-    one per frequency, bounds its cond_2 from above at each point; the
-    exact value is computed only where the bound fails (or is NaN), in
-    blocks of _BLOCK_POINTS in (omega, map) order."""
-    fail = ~(bound <= _COND_LIMIT)
-    if not fail.any():
-        return
-    n = E.shape[-1]
-    f, k = np.nonzero(np.broadcast_to(fail, (E.shape[0], g.shape[0])))
-    for b in (slice(p, p + _BLOCK_POINTS) for p in range(0, f.size, _BLOCK_POINTS)):
-        gb = np.ones((k[b].size, n))
-        gb[:, :g.shape[1]] = g[k[b]]
-        M = np.eye(n) + gb[:, :, None] * E[f[b]]
-        _guard(np.linalg.cond(M), grid[f[b]], "I + A_R e^(pi A/omega)")
+def _map_rows(factors):
+    """The reset maps of the factors as flat (G, n) rows, in C order."""
+    return np.stack(np.broadcast_arrays(*factors), axis=-1).reshape(-1, len(factors))
 
 
-def _product_grid(axes):
-    """itertools.product(*axes) as a (G, len(axes)) array: C order."""
-    grids = np.meshgrid(*axes, indexing="ij", copy=False)
-    return np.stack(grids, axis=-1).reshape(-1, len(axes))
-
-
-def _grid_factors(gammas, n):
-    """Per-state reset factors: axis i of gammas (G, n_r) shaped (1, .., L_i,
-    .., 1) when gammas is the product grid of its axes (the stride of axis i
-    is the shortest run of the column prefix 1..i, checked by rebuilding the
-    grid), else column i; 1 for each state past n_r."""
-    G, n_r = gammas.shape
-    factors = [gammas[:, i] for i in range(n_r)]
-    if G > 1:   # a single map's columns are already its axes
-        changed = np.ones((G, n_r), dtype=bool)
-        changed[:-1] = np.logical_or.accumulate(gammas[1:] != gammas[:-1], axis=1)
-        runs = [G, *(np.diff(np.flatnonzero(c), prepend=-1).min() for c in changed.T)]
-        axes = [gammas[:r:s, i] for i, (r, s) in enumerate(zip(runs, runs[1:]))]
-        if math.prod(map(len, axes)) == G and np.array_equal(_product_grid(axes), gammas):
-            factors = [a.reshape([-1 if j == i else 1 for j in range(n_r)])
-                       for i, a in enumerate(axes)]
-    return factors + [np.ones((1,) * factors[0].ndim)] * (n - n_r)
+def _check_resolvent(E, factors, bound, grid):
+    """Guard the jump resolvent I + diag(g) E for each map g of the padded
+    ``factors``, whose cond_2 ``bound`` (F, G), or (F, 1) for one per
+    frequency, bounds at each (omega, map) point; see _guard."""
+    eye = np.eye(E.shape[-1])
+    _guard(bound, grid, lambda f, k: eye + _map_rows(factors)[k, :, None] * E[f],
+           "I + A_R e^(pi A/omega)", (E.shape[0], np.broadcast(*factors).size))
 
 
 def _resolvent_bound(E, factors):
     """Upper bounds (F,) on cond_2 of the jump resolvent I + diag(g) E, one
-    per frequency covering every map in the batch of the _grid_factors
-    ``factors`` (lower-triangular E).  With c_i = max |g_i| and
+    per frequency covering every map of the padded ``factors``
+    (lower-triangular E).  With c_i = max |g_i| and
     d_i = min |1 + g_i e_ii| over the batch, every map M has |M^-1| <= W^-1
     for W = diag(d) - diag(c) |tril(E, -1)| (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., 8.3) and |M| <= I + diag(c) |E|:
@@ -428,10 +415,11 @@ def _resolvent_bound(E, factors):
 
 def _solve_lower(E, factors, m):
     """Solve (I + diag(g) E) x = diag(g) m for lower-triangular E by forward
-    substitution, elementwise on (F, *batch) arrays in the layout of the
-    _grid_factors ``factors``; returns x as n such arrays, x_i shaped by
-    factors 1..i.  The caller screens the resolvent (_resolvent_bound)."""
-    n, pad = E.shape[-1], (1,) * factors[0].ndim
+    substitution, elementwise on (F, *shape) arrays for the padded
+    ``factors`` of broadcast shape ``shape``; returns x as n such arrays,
+    x_i shaped by factors 1..i.  The caller screens the resolvent
+    (_resolvent_bound)."""
+    n, pad = E.shape[-1], (1,) * np.broadcast(*factors).ndim
     e = E.reshape(E.shape + pad)   # e[:, i, j] is (F, 1, ..) and broadcasts
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = [f * (1.0 / (1.0 + f * e[:, i, i])) for i, f in enumerate(factors)]
@@ -442,10 +430,11 @@ def _solve_lower(E, factors, m):
     return x
 
 
-def _solve_general(E, g, m, grid):
+def _solve_general(E, factors, m, grid):
     """The same solve for any E, batched over (F, G) points; x is (n, F, G)."""
+    g = _map_rows(factors)
     M = np.eye(E.shape[-1]) + g[None, :, :, None] * E[:, None, :, :]
-    _check_resolvent(E, g, _frobenius_bound(M), grid)
+    _check_resolvent(E, factors, _frobenius_bound(M), grid)
     rhs = g[None, :, :, None] * m[:, None, :, None]
     return np.moveaxis(np.linalg.solve(M, rhs)[..., 0], -1, 0)
 
@@ -456,21 +445,27 @@ def _shifted_solve(A, s, rhs):
     try:
         return np.linalg.solve(M, np.broadcast_to(rhs, (s.size,) + rhs.shape))[..., 0]
     except np.linalg.LinAlgError:
-        _guard(np.linalg.cond(M), np.abs(s), "j omega I - A")
+        _guard(np.full(s.size, np.inf), np.abs(s), lambda f: M[f], "j omega I - A")
         raise
 
 
-def _harmonic_blocks(base: StateSpace, n_r, gammas, grid, orders):
-    """Gains of the odd harmonics ``orders`` for each reset map in
-    ``gammas`` (G, n_r) on the grid, one block of frequencies at a time:
-    yields (fs, gains), gains the (len(orders), nf, G) array at the nf
-    frequencies grid[fs], in order.  A block holds at most _BLOCK_POINTS
-    (omega, map) points, or one frequency when G is larger, and an empty
-    grid is one empty block.  Every block is written into one buffer, which
-    the next block overwrites; when the grid fits one block, that buffer is
-    the whole (len(orders), F, G) output.  See the module docstring for the
+def _harmonic_blocks(base: StateSpace, factors, grid, orders):
+    """Gains of the odd harmonics ``orders`` on the grid, one block of
+    frequencies at a time, for the G reset maps of ``factors``: one array
+    per reset state (n_r = len(factors)), broadcast together, the maps
+    running in C order of the broadcast shape (G maps' columns are arrays
+    (G,); a product grid's axis i is shaped (1, .., L_i, .., 1)).  Yields
+    (fs, gains), gains the (len(orders), nf, G) array at the nf frequencies
+    grid[fs], in order.  A block holds at most _BLOCK_POINTS (omega, map)
+    points, or one frequency when G is larger, and an empty grid is one
+    empty block.  Every block is written into one buffer, which the next
+    block overwrites; when the grid fits one block, that buffer is the
+    whole (len(orders), F, G) output.  See the module docstring for the
     formula."""
-    A, n, F, G = base.A, base.order, grid.size, gammas.shape[0]
+    shape = np.broadcast(*factors).shape
+    A, n, F, G = base.A, base.order, grid.size, math.prod(shape)
+    # the states past n_r do not reset: factor 1
+    factors = [*factors, *[np.ones((1,) * len(shape))] * (n - len(factors))]
     # output rows C (jnwI - A)^-1, solved against C^T
     rows = [_shifted_solve(A.T, 1j * order * grid, base.C.T) for order in orders]
     step = max(1, _BLOCK_POINTS // max(G, 1))
@@ -478,8 +473,9 @@ def _harmonic_blocks(base: StateSpace, n_r, gammas, grid, orders):
     # the linear part solves against B, the same route as StateSpace(s)
     linear = ((base.C @ _shifted_solve(A, 1j * grid, base.B)[..., None] + base.D)[:, 0]
               if 1 in orders else None)
-    identity = np.flatnonzero(np.all(gammas == 1.0, axis=1))
-    jumps = n_r > 0 and identity.size < G
+    identity = np.flatnonzero(np.all([np.broadcast_to(f == 1.0, shape) for f in factors],
+                                     axis=0))
+    jumps = identity.size < G
     if jumps:
         E, lam = _frequency_matrices(A, grid)
         delta = np.eye(n) + E
@@ -490,17 +486,13 @@ def _harmonic_blocks(base: StateSpace, n_r, gammas, grid, orders):
         qs = [jump * (row[:, None, :] @ delta)[:, 0] for row in rows]
         lower = not np.triu(A, 1).any()
         if lower:   # one screen for the whole call: the bound is per frequency
-            factors = _grid_factors(gammas, n)
-            _check_resolvent(E, gammas, _resolvent_bound(E, factors)[:, None], grid)
-        else:
-            g = np.ones((G, n))
-            g[:, :n_r] = gammas
-        pad = (1,) * factors[0].ndim if lower else (1,)
+            _check_resolvent(E, factors, _resolvent_bound(E, factors)[:, None], grid)
+        pad = (1,) * (len(shape) if lower else 1)
     for fs in (slice(f0, min(f0 + step, F)) for f0 in range(0, max(F, 1), step)):
         gains = buf[:, :fs.stop - fs.start]
         if jumps:
             x = (_solve_lower(E[fs], factors, m[fs]) if lower
-                 else _solve_general(E[fs], g, m[fs], grid[fs]))
+                 else _solve_general(E[fs], factors, m[fs], grid[fs]))
             for i in range(n):   # x - Lambda^-1 B, in place
                 x[i] -= lam_b[fs, i].reshape(-1, *pad)
             for k, (q, order) in enumerate(zip(qs, orders)):
@@ -520,14 +512,14 @@ def _harmonic_blocks(base: StateSpace, n_r, gammas, grid, orders):
         yield fs, gains
 
 
-def _harmonics(base: StateSpace, n_r, gammas, grid, orders) -> np.ndarray:
+def _harmonics(base: StateSpace, factors, grid, orders) -> np.ndarray:
     """The `_harmonic_blocks` gains on the whole grid: a (len(orders), G, F)
     array."""
-    blocks = _harmonic_blocks(base, n_r, gammas, grid, orders)
+    blocks = _harmonic_blocks(base, factors, grid, orders)
     fs, gains = next(blocks)
     if fs.stop == grid.size:   # the one block's buffer is the output: no copy
         return gains.transpose(0, 2, 1)
-    out = np.empty((len(orders), grid.size, gammas.shape[0]), dtype=complex)
+    out = np.empty((len(orders), grid.size, gains.shape[-1]), dtype=complex)
     out[:, fs] = gains
     for fs, gains in blocks:
         out[:, fs] = gains
@@ -546,7 +538,7 @@ def harmonics(rs: ResetSystem, grid, orders) -> list:
         raise ValueError(f"harmonic orders must be >= 1, got {orders}")
     grid = check_grid(grid)
     odd = tuple(n for n in orders if n % 2)
-    vals = _harmonics(rs.base, rs.n_r, rs.gamma[None, :], grid, odd)[:, 0] if odd else ()
+    vals = _harmonics(rs.base, list(rs.gamma[:, None]), grid, odd)[:, 0] if odd else ()
     gains = dict(zip(odd, vals))
     return [HarmonicResponse(grid, n, gains[n] if n in gains
                              else np.zeros(grid.shape, dtype=complex)) for n in orders]
@@ -581,7 +573,9 @@ def describing_function_gamma_batch(base: StateSpace, n_r, gammas, grid) -> np.n
         raise ValueError("gammas must be (G, n_r)")
     if not np.all(np.abs(gammas) <= 1.0):
         raise ValueError("each gamma_i must lie in [-1, 1]")
-    return _harmonics(base, n_r, gammas, check_grid(grid), (1,))[0]
+    gains = _harmonics(base, list(gammas.T), check_grid(grid), (1,))[0]
+    # with no reset state there are no columns, and every map is the same
+    return gains if n_r else np.repeat(gains, len(gammas), axis=0)
 
 
 def save_harmonics(responses, path):

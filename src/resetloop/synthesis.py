@@ -32,7 +32,6 @@ from .reset import (
     HarmonicResponse,
     ResetSystem,
     _harmonic_blocks,
-    _product_grid,
     check_grid,
     describing_function,
     fore,
@@ -270,9 +269,10 @@ def _first_ranked(obj, k):
 
 
 def _tune_scorer(crone: CroneApprox, target):
-    """The tuner's score: a function from reset maps gammas (G, n) to
-    (gammas, objective, gain slope, phase slope), fitted to the filter's
-    first-harmonic response over the trimmed band."""
+    """The tuner's score: a function from the axes of a product grid of
+    reset maps, one per factor, to the (objective, gain slope, phase slope)
+    of each map in C order, fitted to the filter's first-harmonic response
+    over the trimmed band."""
     tg, tp = float(target[0]), float(target[1])
     if not (np.isfinite(tg) and np.isfinite(tp)):
         raise ValueError("target slopes must be finite")
@@ -295,14 +295,16 @@ def _tune_scorer(crone: CroneApprox, target):
     # by tail[j] = sum(pinv_row[j + 1:]); sum(pinv_row) = 0 drops the start phase
     tail = np.degrees(np.cumsum(pinv_row[::-1])[-2::-1])
 
-    def score(gammas):
+    def score(axes):
         # one frequency row (G,) at a time, in place in the kernel's blocks
         # and through three reused (G,) buffers, so no (F, G) array is
         # built: each map's sums run in frequency order whatever the batch
-        G = len(gammas)
+        G = math.prod(map(len, axes))
+        factors = [np.reshape(a, [-1 if j == i else 1 for j in range(n)])
+                   for i, a in enumerate(axes)]
         gs, ps = np.zeros(G), np.zeros(G)
         t, z, prev_conj = np.empty(G), np.empty(G, complex), np.empty(G, complex)
-        for fs, gains in _harmonic_blocks(linear.c_r.base, n, gammas, grid, (1,)):
+        for fs, gains in _harmonic_blocks(linear.c_r.base, factors, grid, (1,)):
             for f, row in enumerate(gains[0], fs.start):
                 row *= lin_vals[f]
                 np.log10(np.abs(row, out=t), out=t)   # 20 log10|row| pinv_row[f]
@@ -316,7 +318,7 @@ def _tune_scorer(crone: CroneApprox, target):
                     ps += t
                 # a copy: the next block overwrites the kernel's buffer
                 np.conjugate(row, out=prev_conj)
-        return gammas, wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
+        return wg * (gs - tg) ** 2 + wp * (ps - tp) ** 2, gs, ps
     return score
 
 
@@ -347,9 +349,10 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
         for lead in itertools.product(*axes[:s]):
             for j in range(0, lengths[s], take):
                 sub = [*([v] for v in lead), axes[s][j:j + take], *axes[s + 1:]]
-                gammas, obj, gs, ps = score(_product_grid(sub))
+                obj, gs, ps = score(sub)
                 i = int(np.argmin(obj))
-                best.append((obj[i], tuple(gammas[i]), gs[i], ps[i]))
+                at = np.unravel_index(i, [len(a) for a in sub])
+                best.append((obj[i], tuple(a[k] for a, k in zip(sub, at)), gs[i], ps[i]))
                 objs[done:done + obj.size] = obj   # no list of chunks to fragment the heap
                 done += obj.size
         return objs

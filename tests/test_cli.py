@@ -709,6 +709,22 @@ def test_df_rejects_repeated_harmonic_orders(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, band", [
+    ("kind = clegg\ngamma = [-1.0]\n", ("10", "1000")),   # resolvent singular
+    ("sore", ("1e150", "1e199")),   # omega^2 overflows: Lambda singular
+])
+def test_df_singular_spec_exits_3_and_leaves_no_out(tmp_path, spec, band, capsys):
+    if "\n" in spec:
+        path = tmp_path / "s.spec"
+        path.write_text(spec)
+        spec = str(path)
+    out = tmp_path / "o"
+    assert main(["df", spec, "--fmin-hz", band[0], "--fmax-hz", band[1],
+                 "--out", str(out)]) == 3
+    assert "singular" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_df_computes_every_order_in_one_kernel_pass(tmp_path, kernel_calls):
     orders = [str(n) for n in range(1, 12)]
     assert main(["df", "clegg", "--harmonics", *orders,

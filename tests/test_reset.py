@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from unittest import mock
 
 import mpmath
@@ -27,7 +28,6 @@ from resetloop.reset import (
     _expm_grid,
     _frequency_matrices,
     _frobenius_bound,
-    _grid_factors,
     _harmonics,
     clegg,
     describing_function,
@@ -64,7 +64,7 @@ def theta_d(rs: ResetSystem, omega) -> np.ndarray:
     eye, AR, grid = np.eye(rs.order), rs.reset_matrix(), np.array([float(omega)])
     E, lam = _frequency_matrices(rs.base.A, grid)
     # one matrix: an infinite bound sends it straight to the exact cond_2
-    _check_resolvent(E, np.diag(AR)[None, :], np.full((1, 1), np.inf), grid)
+    _check_resolvent(E, list(np.diag(AR)[:, None]), np.full((1, 1), np.inf), grid)
     delta, lam_inv = eye + E[0], np.linalg.solve(lam[0], eye)
     gamma_r = np.linalg.solve(eye + AR @ E[0], AR @ delta @ lam_inv)
     return -(2.0 * omega**2 / np.pi) * delta @ (gamma_r - lam_inv)
@@ -335,7 +335,7 @@ def test_batch_kernel_matches_per_spec(poles, data):
     rs = lag_chain(np.sort(poles), np.zeros(n))
     grid = log_grid(0.05, 200.0, 8)
     batch = describing_function_gamma_batch(rs.base, n, gammas, grid)
-    high = _harmonics(rs.base, n, gammas, grid, (3, 5))
+    high = _harmonics(rs.base, list(gammas.T), grid, (3, 5))
     for k, g in enumerate(gammas):
         one = rs.with_gamma(g)
         pairs = [(batch[k], describing_function(one, grid).values),
@@ -352,42 +352,54 @@ def test_batch_kernel_matches_per_spec(poles, data):
             assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
-def test_product_grid_path_matches_the_column_path():
-    # a product grid is solved per prefix of its axes; the same maps
-    # shuffled take the column path and must give the same doubles.  The
-    # second axis is a refine window clipped at 1 (repeats at its end), the
-    # grid holds the identity map, and the chain's third state does not reset
-    base = lag_chain(np.array([100.0, 480.0, 2200.0]), np.zeros(3)).base
-    axes = [np.array([-0.5, 0.0, 1.0]), np.clip(np.arange(95, 106) / 100, -1.0, 1.0)]
-    gammas = np.array(list(itertools.product(*axes)))
-    perm = np.random.default_rng(0).permutation(len(gammas))
-    assert [f.shape for f in _grid_factors(gammas, 3)] == [(3, 1), (1, 11), (1, 1)]
-    assert [f.shape for f in _grid_factors(gammas[perm], 3)] == [(33,), (33,), (1,)]
-    grid = log_grid(1.0, 2000.0, 8)
-    product = describing_function_gamma_batch(base, 2, gammas, grid)
-    assert np.array_equal(product[perm],
-                          describing_function_gamma_batch(base, 2, gammas[perm], grid))
-    third = _harmonics(base, 2, gammas, grid, (3,))[0]
-    assert np.array_equal(third[perm], _harmonics(base, 2, gammas[perm], grid, (3,))[0])
-    # a leading axis clipped at -1 (repeats at its start) is still a product
-    leading = np.array(list(itertools.product(np.clip(np.arange(-102, -97) / 100, -1, 1),
-                                              axes[0])))
-    assert [f.shape for f in _grid_factors(leading, 2)] == [(5, 1), (1, 3)]
-    perm = np.random.default_rng(1).permutation(len(leading))
-    assert np.array_equal(describing_function_gamma_batch(base, 2, leading, grid)[perm],
-                          describing_function_gamma_batch(base, 2, leading[perm], grid))
+def _outcome(call):
+    """The bytes of a kernel output, or the message of the singular error."""
+    try:
+        return call().tobytes()
+    except SingularFrequencyError as err:
+        return str(err)
+
+
+@st.composite
+def _clipped_axes(draw, count):
+    """``count`` refine-style axes, each a window of steps about a centre
+    clipped to [-1, 1] (so repeats at its ends), ending in the factor 1."""
+    axes = []
+    for _ in range(count):
+        centre = draw(st.sampled_from([-1.0, -0.99, 0.0, 0.995, 1.0]) | st.floats(-1.0, 1.0))
+        step = draw(st.sampled_from([0.01, 0.1, 0.5]))
+        half = draw(st.integers(0, 2))
+        window = np.clip(centre + step * np.arange(-half, half + 1), -1.0, 1.0)
+        axes.append(np.append(window, 1.0))
+    return axes
+
+
+@given(st.lists(st.floats(0.5, 500.0), min_size=2, max_size=5, unique=True), st.data())
+def test_product_grid_path_matches_the_column_path(poles, data):
+    # the axes of a product grid, handed to the kernel as factors, are
+    # solved per prefix; the grid's flat columns take the column path and
+    # must give the same bits, or the same error.  The grid holds the
+    # identity map, and the chain's last state does not reset
+    n_r = len(poles) - 1
+    axes = data.draw(_clipped_axes(n_r))
+    factors = [a.reshape([-1 if j == i else 1 for j in range(n_r)])
+               for i, a in enumerate(axes)]
+    columns = list(np.array(list(itertools.product(*axes))).T)
+    base = lag_chain(np.sort(poles), np.zeros(len(poles))).base
+    grid = log_grid(0.05, 200.0, 8)
+    product = _outcome(lambda: _harmonics(base, factors, grid, (1, 3, 5)))
+    assert product == _outcome(lambda: _harmonics(base, columns, grid, (1, 3, 5)))
 
 
 def test_product_grid_raises_the_per_spec_singular_error():
     # an integrator ahead of a lag: gamma_1 = -1 makes I + diag(g) E singular
     base = StateSpace([[0.0, 0.0], [1.0, -1.0]], [[1.0], [0.0]], [[0.0, 1.0]], 0.0)
-    gammas = np.array(list(itertools.product([-1.0, 0.0, 0.5], [0.0, 1.0])))
-    assert [f.shape for f in _grid_factors(gammas, 2)] == [(3, 1), (1, 2)]
+    factors = [np.array([[-1.0], [0.0], [0.5]]), np.array([[0.0, 1.0]])]
     grid = np.array([1.0, 2.0])
     with pytest.raises(SingularFrequencyError, match="singular at omega = 1 ") as batch:
-        describing_function_gamma_batch(base, 2, gammas, grid)
+        _harmonics(base, factors, grid, (1,))
     with pytest.raises(SingularFrequencyError) as single:
-        describing_function(ResetSystem(base, 2, gammas[0], allow_marginal=True), grid)
+        describing_function(ResetSystem(base, 2, [-1.0, 0.0], allow_marginal=True), grid)
     assert batch.value.omega == single.value.omega == 1.0
     assert str(batch.value) == str(single.value)
 
@@ -634,7 +646,8 @@ def test_lower_screen_bounds_every_condition_number(kind, data):
         except SingularFrequencyError:
             pass   # a failed screen went to the exact check, which raised
     assert spy.called
-    for (E, g, bound, _), _ in spy.call_args_list:
+    for (E, factors, bound, _), _ in spy.call_args_list:
+        g = np.stack(np.broadcast_arrays(*factors), axis=-1).reshape(-1, n)
         cond = np.linalg.cond(np.eye(n) + g[None, :, :, None] * E[:, None])
         assert np.all(~(bound <= 1e14) | (bound >= (1 - 1e-9) * cond))
 
@@ -703,6 +716,30 @@ def test_a_scalar_lambda_that_under_or_overflows_still_raises(rs, omega):
     with np.errstate(over="ignore"):
         lam = (grid**2)[:, None, None] + A @ A
         _assert_lambda_guard(A, grid, np.linalg.cond(lam))
+
+
+@pytest.mark.parametrize("rs", [fore(1.0), sore(1.0, 0.5), lag_chain([1.0, 2.0], [0.0, 0.0])])
+def test_an_overflowing_lambda_is_singular_without_a_warning(rs):
+    # omega^2 overflows, and inf * 0 would put NaN into a 2x2 Lambda: a
+    # non-finite Lambda is singular at that omega, as a 1x1 one is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFrequencyError, match="Lambda") as err:
+            describing_function(rs, [1.0, 1e154, 1e200])
+    assert (err.value.omega, err.value.cond) == (1e200, np.inf)
+
+
+def test_a_resolvent_bound_near_the_limit_goes_to_the_exact_check():
+    # a bound in (limit / 2, limit] is too close to the limit to trust, as
+    # on Lambda: the exact cond_2 decides
+    E, factors, grid = np.full((1, 1, 1), 0.5), [np.array([0.0])], np.array([1.0])
+    for bound in (7e13, 1e14):
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            _check_resolvent(E, factors, np.array([[bound]]), grid)
+        assert cond.call_count == 1
+    with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+        _check_resolvent(E, factors, np.array([[5e13]]), grid)
+    assert not cond.called
 
 
 def test_time_domain_oracle_shares_no_exponential_with_the_closed_form():

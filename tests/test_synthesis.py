@@ -45,7 +45,6 @@ from resetloop.synthesis import (
     tune_arho,
     TUNE_WEIGHTS,
     _gamma_grid_values,
-    _product_grid,
     _refine_axis,
     _tune_scorer,
 )
@@ -307,14 +306,20 @@ def _reference_scores(crone, target):
     pinv_row = np.linalg.pinv(np.vstack([x, np.ones_like(x)]).T)[0]
     wg, wp = TUNE_WEIGHTS
 
-    def score(gammas):
+    def score(axes):
+        gammas = _flat_grid(axes)
         vals = (describing_function_gamma_batch(linear.c_r.base, crone.n_pairs,
                                                 gammas, grid)
                 * linear.c_nr(1j * grid)[None, :])
         gs = 20.0 * np.log10(np.abs(vals)) @ pinv_row
         ps = np.degrees(np.unwrap(np.angle(vals), axis=1)) @ pinv_row
-        return gammas, wg * (gs - target[0]) ** 2 + wp * (ps - target[1]) ** 2, gs, ps
+        return wg * (gs - target[0]) ** 2 + wp * (ps - target[1]) ** 2, gs, ps
     return score
+
+
+def _flat_grid(axes):
+    """The product grid of ``axes`` as (G, len(axes)) rows, in C order."""
+    return np.array(list(itertools.product(*axes)))
 
 
 @pytest.fixture(scope="module")
@@ -326,14 +331,13 @@ def cloc1_ladder():
 def test_tune_scores_match_the_unwrap_reference(cloc1_ladder, monkeypatch):
     target = (-10.0, 125.0)
     result = tune_arho(cloc1_ladder, target)
-    coarse = _product_grid([_gamma_grid_values(0.1)] * 3)
-    grids = [coarse] + [_product_grid([_refine_axis(c, 0.01, 10) for c in g])
-                        for g, _ in result.top[:3]]
+    grids = [[_gamma_grid_values(0.1)] * 3] + [[_refine_axis(c, 0.01, 10) for c in g]
+                                               for g, _ in result.top[:3]]
     score = _tune_scorer(cloc1_ladder, target)
     reference = _reference_scores(cloc1_ladder, target)
-    for gammas in grids:
-        _, obj, gs, ps = score(gammas)
-        _, ref_obj, ref_gs, ref_ps = reference(gammas)
+    for axes in grids:
+        obj, gs, ps = score(axes)
+        ref_obj, ref_gs, ref_ps = reference(axes)
         assert np.all(np.abs(obj - ref_obj) <= 1e-12 * ref_obj)
         assert np.all(np.abs(gs - ref_gs) <= 1e-12)
         assert np.all(np.abs(ps - ref_ps) <= 1e-12)
@@ -348,23 +352,25 @@ def test_tune_score_peaks_well_below_the_kernel_output(cloc1_ladder, monkeypatch
     # the scorer reduces the kernel's frequency blocks a row at a time and
     # never builds its (F, G) output, so one score of the coarse 21^3 chunk
     # peaks at a fraction of that array
-    gammas = _product_grid([_gamma_grid_values(0.1)] * 3)
+    axes = [_gamma_grid_values(0.1)] * 3
     score = _tune_scorer(cloc1_ladder, (-10.0, 125.0))
-    sizes = []
+    sizes, shapes = [], []
     blocks = resetloop.synthesis._harmonic_blocks
 
-    def spy(base, n_r, gammas, grid, orders):
+    def spy(base, factors, grid, orders):
         sizes.append(grid.size)
-        return blocks(base, n_r, gammas, grid, orders)
+        shapes.append(np.broadcast_shapes(*(f.shape for f in factors)))
+        return blocks(base, factors, grid, orders)
     monkeypatch.setattr(resetloop.synthesis, "_harmonic_blocks", spy)
-    score(gammas)
+    score(axes)
+    assert shapes == [(21, 21, 21)]
     tracemalloc.start()
     try:
-        score(gammas)
+        score(axes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * len(gammas) * sizes[0] * 16 / 3
+    assert peak <= 1.3 * 21**3 * sizes[0] * 16 / 3
 
 
 def _same_bits(a, b):
@@ -381,15 +387,15 @@ def test_kernel_blocks_split_anywhere_without_changing_a_bit(cloc1_ladder, monke
     # blocks of `rows` frequencies split a 67-point grid, all but 5 and 67
     # ending in a 1-frequency block.  The scorer carries each block's last
     # row into the next block, whose gains overwrite the kernel's buffer
-    gammas = _product_grid([_gamma_grid_values(0.1)] * 3)
+    axes = [_gamma_grid_values(0.1)] * 3
     score = _tune_scorer(cloc1_ladder, (-10.0, 125.0))
     chain = split_reset(cloc1_ladder, np.full(3, 0.3)).c_r   # lower-triangular A
     lag2 = resetloop.reset.sore(hz(30.0), 0.7, [0.2, -0.4])   # general A
-    chain_maps = _product_grid([np.linspace(-1.0, 1.0, 5)] * 3)
-    lag2_maps = _product_grid([np.linspace(-0.9, 0.9, 4)] * 2)
+    chain_maps = _flat_grid([np.linspace(-1.0, 1.0, 5)] * 3)
+    lag2_maps = _flat_grid([np.linspace(-0.9, 0.9, 4)] * 2)
     grid = np.geomspace(1.0, 1e4, 67)
     calls = [   # (maps per call, call)
-        (len(gammas), lambda: score(gammas)),
+        (21**3, lambda: score(axes)),
         (1, lambda: [h.values for h in resetloop.reset.harmonics(chain, grid, (1, 3, 5))]),
         (1, lambda: [h.values for h in resetloop.reset.harmonics(lag2, grid, (1, 3, 5))]),
         (len(chain_maps),
@@ -425,16 +431,17 @@ def test_tuner_kernel_calls_stay_within_the_chunk_size(small_skeleton, monkeypat
     # of the 21^2 refine windows, so the last axis itself is sliced
     target = (-10.0, 80.0)
     whole = tune_arho(small_skeleton, target, delta=0.25)
-    sizes = []
+    shapes = []
     blocks = resetloop.synthesis._harmonic_blocks
 
-    def spy(base, n_r, gammas, grid, orders):
-        sizes.append(len(gammas))
-        return blocks(base, n_r, gammas, grid, orders)
+    def spy(base, factors, grid, orders):
+        shapes.append(np.broadcast_shapes(*(f.shape for f in factors)))
+        return blocks(base, factors, grid, orders)
     monkeypatch.setattr(resetloop.synthesis, "_harmonic_blocks", spy)
     monkeypatch.setattr(resetloop.synthesis, "TUNE_CHUNK_POINTS", 7)
     assert tune_arho(small_skeleton, target, delta=0.25) == whole
-    assert max(sizes) == 7 and sum(sizes) == 9**2 + 3 * 21**2
+    # one gamma_1 at a time; the gamma_2 axis in slices of at most 7
+    assert shapes == [(1, 7), (1, 2)] * 9 + [(1, 7)] * 3 * 3 * 21
 
 
 @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, np.nan])
@@ -450,12 +457,6 @@ def test_first_ranked_is_the_head_of_the_stable_argsort(values, k, chunk):
     with mock.patch.object(resetloop.synthesis, "TUNE_CHUNK_POINTS", chunk):
         got = _first_ranked(obj, k)
     assert got.tolist() == np.argsort(obj, kind="stable")[:k].tolist()
-
-
-def test_product_grid_keeps_itertools_order():
-    axes = [np.array([0.5, -1.0, 0.25]), np.array([1.0]), np.array([0.0, -0.5])]
-    for grid in (axes, [axes[0]] * 3):
-        assert np.array_equal(_product_grid(grid), list(itertools.product(*grid)))
 
 
 def test_tuner_rejects_bad_inputs(small_skeleton):
