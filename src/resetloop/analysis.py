@@ -101,6 +101,8 @@ def crossover_pm(view: OpenLoopView):
     logw = np.log10(view.grid)
     wc = 10.0 ** (logw[i] + t * (logw[i + 1] - logw[i]))
     phase_c = ph[i] + t * (ph[i + 1] - ph[i])
+    if not np.isfinite(phase_c):   # a NaN in the harmonic taints every later phase
+        raise ValueError(f"phase margin undefined at the crossover {wc:g} rad/s")
     return float(wc), float(180.0 + phase_c)
 
 

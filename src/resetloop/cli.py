@@ -105,10 +105,9 @@ def _write_harmonic_files(man, subdir, grid, orders, gains):
 class Manifest:
     """Output layout and ledger: every file a command writes goes through
     ``path``, ``save`` or ``text`` under ``out_dir``, and ``add`` records
-    its sha256 for manifest.txt."""
+    its sha256 for manifest.txt.  The first write makes ``out_dir``."""
 
     def __init__(self, command, out_dir, seed=None):
-        os.makedirs(out_dir, exist_ok=True)
         self.command = command
         self.out_dir = out_dir
         self.seed = seed
@@ -123,8 +122,7 @@ class Manifest:
     def add(self, path):
         with open(path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        rel = os.path.relpath(path, self.out_dir)
-        self.entries.append((rel, digest))
+        self.entries.append((os.path.relpath(path, self.out_dir), digest))
 
     def save(self, writer, obj, *parts):
         """``writer(obj, path)`` at ``path(*parts)``, recorded; the path."""
@@ -142,7 +140,7 @@ class Manifest:
         return path
 
     def write(self):
-        path = os.path.join(self.out_dir, "manifest.txt")
+        path = self.path("manifest.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# resetloop {__version__} manifest\n")
             fh.write(f"# command: {self.command}\n")
@@ -161,7 +159,6 @@ def cmd_df(args):
         raise ValueError(f"--harmonics repeats an order: {args.harmonics}")
     spec = build_controller(_load_spec(args.spec))
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
-    # every order, in one pass, before --out exists: a failure leaves none
     gains = controller_harmonics(spec, grid, args.harmonics)
     man = Manifest("df", args.out)
     _write_harmonic_files(man, "", grid, args.harmonics, gains)
@@ -321,7 +318,7 @@ def cmd_reproduce(args):
     plant_tf = stage_plant()
     loop_plant = load_frf(args.plant) if args.plant else plant_tf
     builtins = _builtin_specs()
-    # each design normalized once per plant, before --out is made
+    # each design normalized once per plant
     suite = build_benchmark_suite(plant_tf)
     loop_suite = suite if loop_plant is plant_tf else build_benchmark_suite(loop_plant)
     # the closed-loop runs, each made for every design: (subdir, tag, scenario)
@@ -385,11 +382,10 @@ def cmd_reproduce(args):
             build_controller(reparsed)  # must rebuild cleanly
 
         # open-loop first harmonics + crossover report, normalized third
-        # harmonic of each reset design
-        grid = log_grid(1.0, 2000.0, 50)
+        # harmonic of each reset design, on the FRF's own grid for --plant
         report = ""
         for name, spec in loop_suite.items():
-            view = open_loop_view(spec, loop_plant, grid)
+            view = open_loop_view(spec, loop_plant)
             man.save(save_open_loop_csv, view, "05_open_loop", f"{name}.csv")
             if name != "pid":
                 man.save(save_normalized_third_csv, view,

@@ -16,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -150,7 +150,7 @@ def series_all(parts) -> TransferFunction:
 
 
 class StateSpace:
-    """SISO state-space realization (A, B, C, D); arrays are frozen."""
+    """SISO state-space realization (A, B, C, D), frozen arrays and all."""
 
     def __init__(self, A, B, C, D=0.0):
         A = np.atleast_2d(frozen_array(A))
@@ -161,8 +161,12 @@ class StateSpace:
             raise ValueError(f"A must be square, got {A.shape}")
         if B.shape != (n, 1) or C.shape != (1, n):
             raise ValueError("B must be n x 1 and C must be 1 x n")
-        self.A, self.B, self.C = A, B, C
-        self.D = float(np.asarray(D).reshape(()))
+        vars(self).update(A=A, B=B, C=C, D=float(np.asarray(D).reshape(())))
+
+    def __setattr__(self, name, value=None):   # the constructor fills vars(self)
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def order(self):

@@ -71,6 +71,8 @@ class ResetSystem:
     resetting integrator has A = 0; the jumps themselves keep it bounded).
     """
 
+    __setattr__ = __delattr__ = StateSpace.__setattr__   # frozen, as StateSpace is
+
     def __init__(self, base: StateSpace, n_r: int, gamma, allow_marginal=False):
         if not (0 <= n_r <= base.order):
             raise ValueError(f"n_r must lie in [0, {base.order}], got {n_r}")
@@ -80,10 +82,8 @@ class ResetSystem:
             raise ValueError("base A has eigenvalues in the open right half plane")
         if np.any(np.abs(re) <= _HURWITZ_TOL) and not allow_marginal:
             raise ValueError("base A is marginal; pass allow_marginal=True if intended")
-        self.base = base
-        self.n_r = int(n_r)
-        self.gamma = gamma
-        self.allow_marginal = bool(allow_marginal)
+        vars(self).update(base=base, n_r=int(n_r), gamma=gamma,
+                          allow_marginal=bool(allow_marginal))
 
     @property
     def order(self):
@@ -99,7 +99,7 @@ class ResetSystem:
         """The same element with reset factors ``gamma``; only gamma is
         checked, the base having passed when this element was built."""
         rs = copy.copy(self)
-        rs.gamma = _checked_gamma(gamma, self.n_r)
+        vars(rs)["gamma"] = _checked_gamma(gamma, self.n_r)
         return rs
 
     def __repr__(self):
@@ -307,6 +307,7 @@ def _expm_bidiagonal(A, t):
             S = tuple(sorted(range(j, i + 1), key=lambda k: a[k]))
             coef = np.prod(b[j:i]) * t ** (i - j)
             E[:, i, j] = coef * dd(S) * np.exp(x[:, S[-1]])
+    del dd   # dd refers to itself: free its arrays now, not at the next gc pass
     return E
 
 

@@ -251,21 +251,20 @@ def _refine_axis(center, refine_delta, steps):
     return np.clip(index / round(1.0 / refine_delta), -1.0, 1.0)
 
 
-def _first_ranked(obj, k):
-    """``np.argsort(obj, kind="stable")[:k]`` without sorting all of obj.
-
-    Blocks of TUNE_CHUNK_POINTS pass on only the values up to the kth
-    smallest so far, ties included, and those few are stable-sorted with
-    the running k.  A block's indices exceed every earlier one, so ties
-    stay in index order.  NaN ranks last, in index order, as in the sort."""
-    top = np.empty(0, dtype=np.intp)
-    for i in range(0, obj.size, TUNE_CHUNK_POINTS):
-        bound = obj[top[-1]] if top.size == k else np.inf
-        cand = np.concatenate([top, i + np.flatnonzero(obj[i:i + TUNE_CHUNK_POINTS] <= bound)])
-        top = cand[np.argsort(obj[cand], kind="stable")][:k]
-    if top.size < k:   # fewer than k numbers
-        top = np.concatenate([top, np.flatnonzero(np.isnan(obj))[:k - top.size]])
-    return top
+def _first_ranked(chunks, k):
+    """The first k of ``np.argsort(np.concatenate(chunks), kind="stable")``
+    and their values.  Each chunk passes on only the values up to the kth
+    smallest so far, ties included (all of it while fewer than k numbers are
+    held), to a stable sort with the running k.  A chunk's indices exceed
+    every earlier one, so ties stay in index order; NaN ranks last, in index
+    order, as in the sort."""
+    top, vals, done = np.empty(0, dtype=np.intp), np.empty(0), 0
+    for obj in chunks:
+        new = np.flatnonzero(~(obj > (vals[-1] if vals.size == k else np.nan)))
+        cand, cand_vals = np.concatenate([top, done + new]), np.concatenate([vals, obj[new]])
+        order = np.argsort(cand_vals, kind="stable")[:k]
+        top, vals, done = cand[order], cand_vals[order], done + obj.size
+    return top, vals
 
 
 def _tune_scorer(crone: CroneApprox, target):
@@ -336,33 +335,29 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
     """
     score = _tune_scorer(crone, target)
     coarse = [_gamma_grid_values(delta)] * crone.n_pairs
-    best = []   # (objective, gamma, gain slope, phase slope) per chunk
+    best = []   # [(objective, gamma, gain slope, phase slope)] of the first minimum
 
     def scores(axes):
-        """Objectives of the product grid of axes, scored in product sub-grids
-        of at most TUNE_CHUNK_POINTS maps; keeps each chunk's first minimum,
-        its smallest gamma among exact ties as the axes ascend."""
+        """Yields the objectives of the product grid of axes by product
+        sub-grids of at most TUNE_CHUNK_POINTS maps, in C order, and folds
+        each chunk's first minimum (its smallest gamma among ties) into best."""
         lengths = [len(a) for a in axes]
         s = next(i for i in range(len(axes)) if math.prod(lengths[i + 1:]) <= TUNE_CHUNK_POINTS)
         take = TUNE_CHUNK_POINTS // math.prod(lengths[s + 1:])
-        objs, done = np.empty(math.prod(lengths)), 0
         for lead in itertools.product(*axes[:s]):
             for j in range(0, lengths[s], take):
                 sub = [*([v] for v in lead), axes[s][j:j + take], *axes[s + 1:]]
                 obj, gs, ps = score(sub)
                 i = int(np.argmin(obj))
                 at = np.unravel_index(i, [len(a) for a in sub])
-                best.append((obj[i], tuple(a[k] for a, k in zip(sub, at)), gs[i], ps[i]))
-                objs[done:done + obj.size] = obj   # no list of chunks to fragment the heap
-                done += obj.size
-        return objs
+                chunk = (obj[i], tuple(a[k] for a, k in zip(sub, at)), gs[i], ps[i])
+                best[:] = [min([*best, chunk])]
+                yield obj
 
-    obj = scores(coarse)
-    # by objective; the flat index is in gamma order, so ties stay sorted
-    ranked = _first_ranked(obj, 10)
+    ranked, values = _first_ranked(scores(coarse), 10)   # C order: ties in gamma order
     shape = [len(a) for a in coarse]
     top_points = tuple((tuple(float(a[k]) for a, k in zip(coarse, np.unravel_index(i, shape))),
-                        float(obj[i])) for i in ranked)
+                        float(v)) for i, v in zip(ranked, values))
 
     if refine and TUNE_REFINE_DELTA < delta:
         # local polish only: the window never exceeds one coarse cell and
@@ -370,9 +365,10 @@ def tune_arho(crone: CroneApprox, target, delta=0.1, refine=True) -> TuneResult:
         window = min(delta, 10.0 * TUNE_REFINE_DELTA)
         steps = int(round(window / TUNE_REFINE_DELTA))
         for gamma, _ in top_points[:TUNE_TOP_K]:   # coarse grid points are distinct
-            scores([_refine_axis(c, TUNE_REFINE_DELTA, steps) for c in gamma])
+            for _ in scores([_refine_axis(c, TUNE_REFINE_DELTA, steps) for c in gamma]):
+                pass   # only the optima, folded into best, are wanted: no ranking
 
-    objective, gamma, gain_slope, phase_slope = min(best)
+    objective, gamma, gain_slope, phase_slope = best[0]
     return TuneResult(tuple(map(float, gamma)), float(gain_slope), float(phase_slope),
                       float(objective), top_points)
 

@@ -84,6 +84,18 @@ def test_crossover_requires_a_crossing():
         crossover_pm(view)
 
 
+def test_crossover_with_an_undefined_phase_is_an_error():
+    # a NaN below the crossing reaches every unwrapped phase after it
+    grid = np.array([1.0, 2.0, 4.0, 8.0])
+    mags = np.array([np.nan, 2.0, 0.5, 0.25])
+    from resetloop.analysis import OpenLoopView
+
+    view = OpenLoopView(grid, mags * np.exp(-1j * np.radians(100.0)),
+                        np.zeros(4, complex), 0)
+    with pytest.raises(ValueError, match="phase margin"):
+        crossover_pm(view)
+
+
 def test_multiple_crossings_warn():
     grid = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     mags = np.array([2.0, 0.5, 2.0, 0.5, 0.25])

@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import io
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -32,7 +34,8 @@ def _read_manifest(path):
 
 def _assert_manifest_complete(out):
     """The files under ``out``, bar manifest.txt, are exactly the
-    manifest's entries, each listed once with its sha256."""
+    manifest's entries, each listed once with its sha256, and every number
+    in them is finite (no nan or inf token)."""
     listed = [line.split(None, 1) for line in
               (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
               if not line.startswith("#")]
@@ -43,6 +46,9 @@ def _assert_manifest_complete(out):
     assert on_disk - {"manifest.txt"} == set(rels)
     for digest, rel in listed:
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+        for token in re.split(r"[\s,;:=\[\]()]+", (out / rel).read_text(encoding="utf-8")):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(token)), (rel, token)
 
 
 def test_df_writes_harmonics_and_manifest(tmp_path):
@@ -177,6 +183,25 @@ def test_reproduce_with_frf_plant(tmp_path):
     pm = (out / "05_open_loop" / "crossover_pm.txt").read_text()
     assert "crossover 15" in pm  # still lands at ~150 Hz on the frf
     _assert_manifest_complete(out)
+
+
+@pytest.mark.parametrize("span_hz", [(2.0, 5000.0), (100.0, 200.0)])
+def test_reproduce_views_an_frf_above_1_hz_on_its_own_grid(tmp_path, span_hz):
+    # the model plant's 1-2000 Hz view grid would read the FRF outside its
+    # span, and the NaN would reach every phase margin
+    from resetloop.lti import freq_response, log_grid, save_frf, stage_plant
+
+    frf = freq_response(stage_plant(), log_grid(*span_hz, 50))
+    frf_path = tmp_path / "plant.csv"
+    save_frf(frf, frf_path)
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--out", str(out), "--plant", str(frf_path)]) == 0
+    _assert_manifest_complete(out)
+    report = (out / "05_open_loop" / "crossover_pm.txt").read_text()
+    margins = [float(m) for m in re.findall(r"phase margin (\S+) deg", report)]
+    assert len(margins) == 5 and all(30.0 < m < 90.0 for m in margins), report
+    view = (out / "05_open_loop" / "pid.csv").read_text().splitlines()
+    assert sum(line.split(",")[1] == "1" for line in view[1:]) == frf.omega.size
 
 
 @pytest.mark.parametrize("with_plant, calls", [(False, 5), (True, 10)])
@@ -632,6 +657,8 @@ def test_simulate_rejects_a_step_too_coarse_for_the_run(tmp_path, capsys):
     scen.write_text("controller = pid\nreference = step3um\ndt_s = 0.1\n")
     assert main(["simulate", str(scen), "--out", str(tmp_path / "o")]) == 2
     assert "at least 10 steps" in capsys.readouterr().err
+    # found after the design is built and normalized, before any file
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_feedforward_false_equals_absent(tmp_path):

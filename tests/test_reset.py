@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from unittest import mock
@@ -260,6 +261,22 @@ def test_with_gamma_checks_only_the_new_gamma():
     with checks as spy:
         build_controller(_builtin_specs()["cloc-1"])
     assert spy.call_count == 1
+
+
+def test_reset_system_and_state_space_reject_attribute_assignment():
+    # a rebound gamma of 5 would skip the [-1, 1] check and still give a number
+    rs = fore(10.0)
+    for obj, names in ((rs, ("gamma", "n_r", "base", "allow_marginal", "extra")),
+                       (rs.base, ("A", "B", "C", "D", "extra"))):
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, np.array([5.0]))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+    assert rs.gamma.tolist() == [0.0] and rs.base.D == 0.0
+    assert rs.with_gamma([0.5]).gamma.tolist() == [0.5]
+    with pytest.raises(ValueError, match="gamma"):
+        rs.with_gamma([5.0])
 
 
 @pytest.mark.parametrize("poles,gammas,err", [

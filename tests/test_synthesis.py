@@ -1,6 +1,5 @@
 import itertools
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -444,19 +443,38 @@ def test_tuner_kernel_calls_stay_within_the_chunk_size(small_skeleton, monkeypat
     assert shapes == [(1, 7), (1, 2)] * 9 + [(1, 7)] * 3 * 3 * 21
 
 
-@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, np.nan])
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.inf, -np.inf, np.nan])
                 | st.floats(), max_size=60),
-       st.integers(1, 12), st.integers(1, 9))
+       st.integers(1, 12), st.lists(st.integers(1, 9), min_size=1, max_size=8))
 # fewer numbers than k: NaN fills the tail in index order
-@example([np.nan, 1.0, np.nan, -0.0, np.nan, 0.0, np.nan], 5, 2)
-def test_first_ranked_is_the_head_of_the_stable_argsort(values, k, chunk):
-    # ties (-0.0 with 0.0 too), NaN and partitions over blocks of `chunk`
+@example([np.nan, 1.0, np.nan, -0.0, np.nan, 0.0, np.nan], 5, [2])
+def test_first_ranked_is_the_head_of_the_stable_argsort(values, k, sizes):
+    # ties (-0.0 with 0.0 too), NaN and chunks of the drawn sizes, cycled
     from resetloop.synthesis import _first_ranked
 
     obj = np.array(values, dtype=float)
-    with mock.patch.object(resetloop.synthesis, "TUNE_CHUNK_POINTS", chunk):
-        got = _first_ranked(obj, k)
-    assert got.tolist() == np.argsort(obj, kind="stable")[:k].tolist()
+    cuts = np.cumsum(list(itertools.islice(itertools.cycle(sizes), obj.size)))
+    chunks = np.split(obj, cuts[cuts < obj.size])
+    ranked, ranked_values = _first_ranked(chunks, k)
+    assert ranked.tolist() == np.argsort(obj, kind="stable")[:k].tolist()
+    assert ranked_values.tobytes() == obj[ranked].tobytes()
+
+
+def test_tuner_peak_does_not_grow_with_the_coarse_grid(small_skeleton, monkeypatch):
+    # chunks of at most 101 maps: the 11^2 grid of delta 0.2 in (9, 11) and
+    # (2, 11), the 101^2 grid of delta 0.02 in 101 of (1, 101).  Its 10 201
+    # objectives, 80 kB as one array, are ranked as they are scored
+    monkeypatch.setattr(resetloop.synthesis, "TUNE_CHUNK_POINTS", 101)
+    tune_arho(small_skeleton, (-10.0, 80.0), delta=0.2, refine=False)
+    peaks = []
+    for delta in (0.2, 0.02):
+        tracemalloc.start()
+        try:
+            tune_arho(small_skeleton, (-10.0, 80.0), delta=delta, refine=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 24 * 1024, peaks
 
 
 def test_tuner_rejects_bad_inputs(small_skeleton):
