@@ -6,12 +6,12 @@
     resetloop simulate SCENARIO                closed-loop run + metrics
     resetloop reproduce --out DIR              full analysis dataset
 
-SPEC and SCENARIO are `key = value` text files (see specfile); a handful of
-builtin names (clegg, fore, sore, cglp-fore, cglp-sore, pid, cglp-pid,
-cglp-pi, cloc-1, cloc-2) can be used in place of a path.  The user-facing
-unit is Hz everywhere; exit codes: 0 ok, 2 input error, 3 numerical
-failure.  Every output file goes through the command's Manifest, which
-places it under --out and records its sha256 in manifest.txt.
+SPEC, SKELETON and SCENARIO are `key = value` text files read by specfile;
+a builtin name (clegg, fore, sore, cglp-fore, cglp-sore, pid, cglp-pid,
+cglp-pi, cloc-1, cloc-2) stands in for a spec path.  Hz is the user-facing
+unit; exit codes: 0 ok, 2 input error, 3 numerical failure.  Every output
+file goes through the command's Manifest, which places it under --out and
+records its sha256 in manifest.txt.
 """
 
 from __future__ import annotations
@@ -56,33 +56,26 @@ from .sim import (
     simulate_closed_loop,
 )
 from .specfile import (
+    REFERENCES,
     SUITE,
-    _builtin_specs,
-    _Reads,
     build_controller,
+    builtin_specs,
     emit_spec,
-    finite_number,
-    finite_numbers,
+    load_spec,
+    parse_scenario,
+    parse_skeleton,
     parse_spec,
 )
 from .synthesis import (
-    ApproxBand,
-    CroneApprox,
     build_benchmark_suite,
     controller_harmonic,
     controller_harmonics,
-    crone_place,
     fit_band,
     normalize_open_loop_gain,
     pi_stage,
     slope_estimate,
     tune_arho,
 )
-
-
-def _load_spec(name_or_path) -> dict:
-    builtin = _builtin_specs().get(name_or_path)
-    return parse_spec(name_or_path) if builtin is None else builtin
 
 
 def _linear_response(d, grid) -> FrequencyResponse:
@@ -157,7 +150,7 @@ def cmd_df(args):
                          f"got {min(args.harmonics)}")
     if len(set(args.harmonics)) < len(args.harmonics):
         raise ValueError(f"--harmonics repeats an order: {args.harmonics}")
-    spec = build_controller(_load_spec(args.spec))
+    spec = build_controller(load_spec(args.spec))
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
     gains = controller_harmonics(spec, grid, args.harmonics)
     man = Manifest("df", args.out)
@@ -169,7 +162,7 @@ def cmd_df(args):
 
 def cmd_bode(args):
     grid = log_grid(args.fmin_hz, args.fmax_hz, args.points_per_decade)
-    response = _linear_response(_load_spec(args.spec), grid)
+    response = _linear_response(load_spec(args.spec), grid)
     man = Manifest("bode", args.out)
     path = man.save(save_response, response, "bode.csv")
     man.write()
@@ -177,27 +170,9 @@ def cmd_bode(args):
     return 0
 
 
-def _skeleton_from_spec(d) -> CroneApprox:
-    """CroneApprox from a skeleton file: either explicit ladder lists or
-    (alpha, n_pairs, omega_l_hz, omega_h_hz)."""
-    if "poles_hz" in d and "zeros_hz" in d:
-        return CroneApprox(tuple(hz(np.array(finite_numbers(d, "zeros_hz")))),
-                           tuple(hz(np.array(finite_numbers(d, "poles_hz")))),
-                           1.0)
-    if {"alpha", "n_pairs", "omega_l_hz", "omega_h_hz"} <= d.keys():
-        n_pairs = finite_number(d, "n_pairs")
-        if not n_pairs.is_integer():
-            raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
-        band = ApproxBand(hz(finite_number(d, "omega_l_hz")),
-                          hz(finite_number(d, "omega_h_hz")), int(n_pairs))
-        return crone_place(finite_number(d, "alpha"), band)
-    raise ValueError("skeleton needs poles_hz/zeros_hz or "
-                     "alpha/n_pairs/omega_l_hz/omega_h_hz")
-
-
 def cmd_tune(args):
-    d = _load_spec(args.skeleton)
-    crone = _skeleton_from_spec(d)
+    d = load_spec(args.skeleton)
+    crone = parse_skeleton(d)
     result = tune_arho(crone, (args.target_gain_slope, args.target_phase_slope),
                        delta=args.delta)
     man = Manifest("tune", args.out)
@@ -223,45 +198,13 @@ def cmd_tune(args):
     return 0
 
 
-_REFERENCES = {
-    "step3um": ("step", 3e-6, 0.5, 0.0),
-    "ref1": ("fourth_order_scan", 100e-6, 0.397, 0.1),
-    "ref2": ("fourth_order_scan", 100e-6, 0.235, 0.1),
-    "ref3": ("fourth_order_scan", 100e-6, 0.093, 0.1),
-}
-
-
-def _scenario(d):
-    """(reference name, SimConfig, feedforward flag) of a scenario dict; an
-    unread key, or a seed that is not an int or an integral float, is rejected."""
-    d = _Reads(d)
-    ref = d.get("reference", "step3um")
-    if ref not in _REFERENCES:
-        raise ValueError(f"unknown reference {ref!r}")
-    feedforward = d.get("feedforward", False)
-    if not isinstance(feedforward, bool):
-        raise ValueError(f"feedforward must be true or false, got {feedforward!r}")
-    seed = d.get("seed", SimConfig.noise_seed)
-    if isinstance(seed, float) and seed.is_integer():
-        seed = int(seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"scenario seed must be an integer, got {seed!r}")
-    cfg = SimConfig(dt=finite_number(d, "dt_s", SimConfig.dt),
-                    quantization=finite_number(d, "quantization_m",
-                                               SimConfig.quantization),
-                    noise_amplitude=finite_number(d, "noise_um", 0.0) * 1e-6,
-                    noise_seed=seed)
-    d.reject_unread("a scenario")
-    return ref, cfg, feedforward
-
-
 def _run_scenario(name, spec, loop, scenario, plant_tf, commands, man, subdir,
                   tag=""):
-    """The _scenario ``scenario`` for ``spec`` (kp normalized on plant_tf) on
+    """The parsed ``scenario`` for ``spec`` (kp normalized on plant_tf) on
     its SampledLoop ``loop``, written to ``subdir``.  ``commands`` holds the
     feedforward command of each (filter, reference, dt) driven so far."""
     ref, cfg, feedforward = scenario
-    kind, dist, dur, hold = _REFERENCES[ref]
+    kind, dist, dur, hold = REFERENCES[ref]
     traj = generate_trajectory(kind, dist, dur, dt=cfg.dt, hold=hold)
     u_ff = None
     if feedforward:
@@ -298,11 +241,11 @@ def cmd_simulate(args):
     if not isinstance(name, str):
         raise ValueError(f"controller must be a builtin name or a spec path, "
                          f"got {name!r}")
-    spec = build_controller(_load_spec(name))
+    spec = build_controller(load_spec(name))
     if spec.omega_c is None:
         raise ValueError(f"{name!r} is not a loop controller: its spec has "
                          "no omega_c_hz")
-    scenario = _scenario(d)
+    scenario = parse_scenario(d)
     plant = stage_plant()
     spec = spec.with_kp(normalize_open_loop_gain(spec, plant, spec.omega_c))
     loop = SampledLoop.build(tf_to_ss(plant), spec, scenario[1].dt)
@@ -317,7 +260,7 @@ def cmd_simulate(args):
 def cmd_reproduce(args):
     plant_tf = stage_plant()
     loop_plant = load_frf(args.plant) if args.plant else plant_tf
-    builtins = _builtin_specs()
+    builtins = builtin_specs()
     # each design normalized once per plant
     suite = build_benchmark_suite(plant_tf)
     loop_suite = suite if loop_plant is plant_tf else build_benchmark_suite(loop_plant)
@@ -328,7 +271,7 @@ def cmd_reproduce(args):
               for ref in ("ref1", "ref2", "ref3") for tag in ("", "ff_")),
             (track, "noise_", {"reference": "step3um", "noise_um": 2.0,
                                "seed": args.seed + 17})]
-    runs = [(subdir, tag, _scenario({"seed": args.seed, **d}))
+    runs = [(subdir, tag, parse_scenario({"seed": args.seed, **d}))
             for subdir, tag, d in runs]
     # one sampled loop per design, all on the first one's plant step: every
     # run samples at the default dt
@@ -336,8 +279,17 @@ def cmd_reproduce(args):
     loop = SampledLoop.build(tf_to_ss(plant_tf), suite[first], SimConfig.dt)
     loops = {name: loop if name == first else loop.with_controller(spec)
              for name, spec in suite.items()}
+    # open-loop views before the first write; stage 5 raises a numerical failure
+    views, report, failure = {}, "", None
+    try:
+        for name, spec in loop_suite.items():
+            views[name] = open_loop_view(spec, loop_plant)
+            wc, pm = crossover_pm(views[name])
+            report += (f"{name}: crossover {to_hz(wc):.3f} Hz, "
+                       f"phase margin {pm:.3f} deg, kp {spec.kp!r}\n")
+    except ArithmeticError as exc:
+        failure = exc
     man = Manifest("reproduce", args.out, seed=args.seed)
-
     try:
         # resetting-integrator harmonics, orders 1..11
         grid, orders = log_grid(0.01, 100.0, 20), range(1, 12)
@@ -366,7 +318,7 @@ def cmd_reproduce(args):
                      "03_ladder_filters",
                      f"{name.replace('-', '')}_filter_reset.csv")
             fit = slope_estimate(HarmonicResponse(grid, 1, filt_vals),
-                                 fit_band(_skeleton_from_spec(d)))
+                                 fit_band(parse_skeleton(d)))
             slopes += (f"{name}: gain {fit.gain_slope:.3f} dB/dec, "
                        f"phase {fit.phase_slope:.3f} deg/dec over trimmed "
                        f"band\n")
@@ -381,18 +333,14 @@ def cmd_reproduce(args):
                 raise ValueError(f"spec round-trip mismatch for {name}")
             build_controller(reparsed)  # must rebuild cleanly
 
-        # open-loop first harmonics + crossover report, normalized third
-        # harmonic of each reset design, on the FRF's own grid for --plant
-        report = ""
-        for name, spec in loop_suite.items():
-            view = open_loop_view(spec, loop_plant)
+        # open-loop views + crossover report, each reset design's third harmonic
+        for name, view in views.items():
             man.save(save_open_loop_csv, view, "05_open_loop", f"{name}.csv")
             if name != "pid":
                 man.save(save_normalized_third_csv, view,
                          "07_normalized_third", f"{name}.csv")
-            wc, pm = crossover_pm(view)
-            report += (f"{name}: crossover {to_hz(wc):.3f} Hz, "
-                       f"phase margin {pm:.3f} deg, kp {spec.kp!r}\n")
+        if failure is not None:
+            raise failure
         man.text(report, "05_open_loop", "crossover_pm.txt")
 
         # closed-loop runs (hybrid simulation; instability is a result)

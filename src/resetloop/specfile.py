@@ -11,10 +11,12 @@ sore), the constant-gain lead stage (cglp), and the loop controllers (pid,
 cglp-pid, cglp-pi, cloc).  The spec dict stays the one description of a
 design: the ControllerSpec keeps only the built stages and the crossover.
 
-The stock designs are defined here once: ``_builtin_specs`` is the table of
+The stock designs are defined here once: ``builtin_specs`` is the table of
 the ten builtin specs, every number a stock constant of synthesis (the
 matched reset factor of cglp-pi and cglp-sore included), and ``SUITE``
-names the five the paper compares.
+names the five the paper compares; ``load_spec`` prefers a builtin name to
+a file of that name.  ``parse_scenario`` (over ``REFERENCES``) and
+``parse_skeleton`` read the CLI's scenario and tuner skeleton files.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import numpy as np
 
 from .lti import hz
 from .reset import clegg, fore, sore
+from .sim import SimConfig
 from .synthesis import (
+    ApproxBand,
     CGLP_FORE_HZ,
     CGLP_PID_LEAD_RATIO,
     CGLP_SORE_DAMPING,
@@ -33,6 +37,7 @@ from .synthesis import (
     CLOC_LADDERS_HZ,
     CROSSOVER_HZ,
     ControllerSpec,
+    CroneApprox,
     DEFAULT_TAMING_FACTOR,
     GFORE_GAMMA,
     GSORE_GAMMA,
@@ -44,6 +49,7 @@ from .synthesis import (
     build_cglp_pid,
     build_cloc_from,
     build_pid,
+    crone_place,
 )
 
 
@@ -51,7 +57,7 @@ def parse_spec(path) -> dict:
     """Parse a `key = value` file into a flat dict: float lists in
     brackets, booleans as true/false, floats where they parse, strings
     otherwise.  Raises ValueError with the line number on malformed
-    input."""
+    input or a repeated key."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -63,6 +69,8 @@ def parse_spec(path) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             if val.startswith("["):
                 if not val.endswith("]"):
                     raise ValueError(f"{path}:{lineno}: unterminated list "
@@ -226,7 +234,7 @@ def build_controller(d: dict) -> ControllerSpec:
 SUITE = ("pid", "cglp-pid", "cglp-pi", "cloc-1", "cloc-2")
 
 
-def _builtin_specs():
+def builtin_specs():
     """The builtin spec dicts, every number taken from the stock design
     constants in synthesis."""
     common = dict(omega_c_hz=CROSSOVER_HZ, omega_i_hz=INTEGRATOR_HZ,
@@ -261,3 +269,59 @@ def _builtin_specs():
            for v, ladder in CLOC_LADDERS_HZ.items()},
     }
 
+
+def load_spec(name_or_path) -> dict:
+    """The builtin spec of that name, else the spec file at that path."""
+    builtin = builtin_specs().get(name_or_path)
+    return parse_spec(name_or_path) if builtin is None else builtin
+
+
+#: scenario references: name -> (trajectory kind, distance m, duration s, hold s)
+REFERENCES = {
+    "step3um": ("step", 3e-6, 0.5, 0.0),
+    "ref1": ("fourth_order_scan", 100e-6, 0.397, 0.1),
+    "ref2": ("fourth_order_scan", 100e-6, 0.235, 0.1),
+    "ref3": ("fourth_order_scan", 100e-6, 0.093, 0.1),
+}
+
+
+def parse_scenario(d):
+    """(reference name, SimConfig, feedforward flag) of a scenario dict; an
+    unread key, or a seed that is not an int or an integral float, is rejected."""
+    d = _Reads(d)
+    ref = d.get("reference", "step3um")
+    if ref not in REFERENCES:
+        raise ValueError(f"unknown reference {ref!r}")
+    feedforward = d.get("feedforward", False)
+    if not isinstance(feedforward, bool):
+        raise ValueError(f"feedforward must be true or false, got {feedforward!r}")
+    seed = d.get("seed", SimConfig.noise_seed)
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"scenario seed must be an integer, got {seed!r}")
+    cfg = SimConfig(dt=finite_number(d, "dt_s", SimConfig.dt),
+                    quantization=finite_number(d, "quantization_m",
+                                               SimConfig.quantization),
+                    noise_amplitude=finite_number(d, "noise_um", 0.0) * 1e-6,
+                    noise_seed=seed)
+    d.reject_unread("a scenario")
+    return ref, cfg, feedforward
+
+
+def parse_skeleton(d) -> CroneApprox:
+    """CroneApprox from a skeleton dict: either explicit ladder lists or
+    (alpha, n_pairs, omega_l_hz, omega_h_hz)."""
+    if "poles_hz" in d and "zeros_hz" in d:
+        return CroneApprox(tuple(hz(np.array(finite_numbers(d, "zeros_hz")))),
+                           tuple(hz(np.array(finite_numbers(d, "poles_hz")))),
+                           1.0)
+    if {"alpha", "n_pairs", "omega_l_hz", "omega_h_hz"} <= d.keys():
+        n_pairs = finite_number(d, "n_pairs")
+        if not n_pairs.is_integer():
+            raise ValueError(f"n_pairs must be an integer, got {n_pairs!r}")
+        band = ApproxBand(hz(finite_number(d, "omega_l_hz")),
+                          hz(finite_number(d, "omega_h_hz")), int(n_pairs))
+        return crone_place(finite_number(d, "alpha"), band)
+    raise ValueError("skeleton needs poles_hz/zeros_hz or "
+                     "alpha/n_pairs/omega_l_hz/omega_h_hz")

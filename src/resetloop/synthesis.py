@@ -583,8 +583,8 @@ def build_benchmark_suite(plant=None):
     builtin spec table.  With a plant given, each kp is normalized for
     crossover at the design's omega_c."""
     # specfile builds on this module, so it can only be imported at call time
-    from .specfile import SUITE, _builtin_specs, build_controller
-    table = _builtin_specs()
+    from .specfile import SUITE, build_controller, builtin_specs
+    table = builtin_specs()
     specs = {name: build_controller(table[name]) for name in SUITE}
     if plant is not None:
         specs = {k: v.with_kp(normalize_open_loop_gain(v, plant, v.omega_c))

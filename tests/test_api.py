@@ -1,4 +1,11 @@
+import ast
+import pathlib
+
 import resetloop
+
+#: the one private name a module may import from a sibling: the tuner streams
+#: the harmonic kernel's blocks (importer, module, name)
+PRIVATE_IMPORTS = {("synthesis", "reset", "_harmonic_blocks")}
 
 #: the public API, pinned: a name joins or leaves ``__all__`` only here too
 PUBLIC_API = [
@@ -24,3 +31,18 @@ def test_public_api_is_pinned():
     for name in resetloop.__all__:
         assert hasattr(resetloop, name), name
         assert not name.startswith("_") or name == "__version__", name
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # function-local imports count too: ast.walk visits every node
+    found = set()
+    for path in pathlib.Path(resetloop.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("resetloop")):
+                module = (node.module or "").rpartition(".")[2]
+                found.update((path.stem, module, alias.name)
+                             for alias in node.names
+                             if alias.name.startswith("_")
+                             and not alias.name.startswith("__"))
+    assert found == PRIVATE_IMPORTS

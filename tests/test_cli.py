@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import resetloop
 from resetloop.cli import main
-from resetloop.specfile import _builtin_specs, emit_spec
+from resetloop.specfile import builtin_specs, emit_spec
 
 BUILTIN_NAMES = ["clegg", "fore", "sore", "cglp-fore", "cglp-sore", "pid",
                  "cglp-pid", "cglp-pi", "cloc-1", "cloc-2"]
@@ -250,20 +250,6 @@ def test_simulate_integral_seed_is_an_int(tmp_path):
     assert "# seed: 7\n" in (out / "manifest.txt").read_text()
 
 
-@pytest.mark.parametrize("seed, expected", [
-    (2**60 + 1, 2**60 + 1), (7.0, 7), (7.5, None), (True, None), ("7", None),
-])
-def test_scenario_seed_rule(seed, expected):
-    from resetloop.cli import _scenario
-
-    if expected is None:
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            _scenario({"seed": seed})
-    else:
-        noise_seed = _scenario({"seed": seed})[1].noise_seed
-        assert type(noise_seed) is int and noise_seed == expected
-
-
 def test_reproduce_rejects_a_negative_noise_seed_before_out(tmp_path, capsys):
     # the noise_ rows are seeded with --seed + 17, here -3
     out = tmp_path / "rep"
@@ -461,12 +447,12 @@ def test_cold_start_and_element_harmonics_call_no_eigen_or_svd_driver():
         "import resetloop.cli",
         "from resetloop.lti import hz, log_grid, stage_plant",
         "from resetloop.reset import describing_function, fore, hosidf, sore",
-        "from resetloop.specfile import _builtin_specs, build_controller",
+        "from resetloop.specfile import builtin_specs, build_controller",
         "from resetloop.synthesis import build_benchmark_suite",
         "build_benchmark_suite(stage_plant())",
         "grid = log_grid(hz(0.5), hz(2000.0), 10)",
         "for rs in (fore(hz(20.0), -0.5), sore(hz(20.0), 1.0, 0.5),",
-        "           build_controller(_builtin_specs()['cloc-1']).reset_part):",
+        "           build_controller(builtin_specs()['cloc-1']).reset_part):",
         "    describing_function(rs, grid)",
         "    hosidf(rs, grid, 3)",
         "assert not calls, calls",
@@ -504,6 +490,35 @@ def test_reproduce_frf_not_covering_crossover_is_input_error(tmp_path):
     save_frf(freq_response(stage_plant(), log_grid(1.0, 100.0, 30)), frf_path)
     out = tmp_path / "rep"
     assert main(["reproduce", "--out", str(out), "--plant", str(frf_path)]) == 2
+    assert not out.exists()
+
+
+def test_reproduce_frf_on_which_a_design_never_crosses_leaves_no_out(tmp_path,
+                                                                   capsys):
+    # the FRF starts at the 150 Hz crossover, so a view sees no 0 dB crossing;
+    # the views are checked before stages 1-4 write anything
+    from resetloop.lti import freq_response, log_grid, save_frf, stage_plant
+
+    frf_path = tmp_path / "plant.csv"
+    save_frf(freq_response(stage_plant(), log_grid(150.0, 300.0, 30)), frf_path)
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--out", str(out), "--plant", str(frf_path)]) == 2
+    assert "first harmonic never crosses 0 dB on the grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, body, key", [
+    ("simulate", "controller = pid\nreference = ref2\nreference = step3um\n",
+     "reference"),
+    ("df", "kind = clegg\ngamma = 0.5\ngamma = 0.0\n", "gamma"),
+])
+def test_a_repeated_key_is_an_input_error(tmp_path, command, body, key, capsys):
+    # the last value would otherwise win silently (a step3um run, a gamma 0)
+    path = tmp_path / "in.spec"
+    path.write_text(body)
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert f"in.spec:3: repeated key '{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -688,7 +703,7 @@ def test_df_mutation_sweep_never_crashes_or_writes_non_finite(tmp_path):
     # every single-key mutation of every builtin either runs or is
     # rejected: exit 0, 2 or 3, never a traceback, never nan/inf in a CSV
     runs = 0
-    for name, d in _builtin_specs().items():
+    for name, d in builtin_specs().items():
         for key, value in d.items():
             for k, mutated in enumerate(_mutations(value)):
                 out = tmp_path / f"{name}_{key}_{k}"
@@ -702,13 +717,13 @@ def test_df_mutation_sweep_never_crashes_or_writes_non_finite(tmp_path):
                 assert rc in (0, 2, 3), (name, key, mutated, rc)
                 _assert_finite_csvs(out)
                 runs += 1
-    assert runs == 3 * sum(len(d) for d in _builtin_specs().values())
+    assert runs == 3 * sum(len(d) for d in builtin_specs().values())
 
 
 def test_df_rejects_every_misspelt_builtin_key(tmp_path):
     # a misspelt key must not fall back to a default: each key of each
     # builtin, written with its last letter doubled, is an input error
-    for name, d in _builtin_specs().items():
+    for name, d in builtin_specs().items():
         for key in d:
             spec = tmp_path / f"{name}_{key}.spec"
             emit_spec({(k + k[-1] if k == key else k): v for k, v in d.items()},

@@ -39,7 +39,7 @@ from resetloop.reset import (
     lag_chain,
     sore,
 )
-from resetloop.specfile import _builtin_specs, build_controller
+from resetloop.specfile import builtin_specs, build_controller
 from resetloop.synthesis import ApproxBand, crone_place
 
 CLEGG_MAG = np.sqrt(1 + 16 / np.pi**2)      # |1 + 4j/pi|
@@ -259,7 +259,7 @@ def test_with_gamma_checks_only_the_new_gamma():
     assert clegg().with_gamma([-1.0]).allow_marginal
     # a cloc build checks its ladder's base once, in lag_chain
     with checks as spy:
-        build_controller(_builtin_specs()["cloc-1"])
+        build_controller(builtin_specs()["cloc-1"])
     assert spy.call_count == 1
 
 
@@ -500,14 +500,14 @@ def test_save_harmonics_writes_a_numpy_order_as_its_digits(tmp_path):
 
 
 #: every builtin spec that has a reset element
-RESET_BUILTINS = sorted(name for name, d in _builtin_specs().items()
+RESET_BUILTINS = sorted(name for name, d in builtin_specs().items()
                         if build_controller(d).reset_part is not None)
 
 
 @given(st.sampled_from(RESET_BUILTINS),
        st.lists(st.integers(1, 12), unique=True, min_size=1, max_size=12))
 def test_harmonics_equal_the_one_order_entry_points(name, orders):
-    rs = build_controller(_builtin_specs()[name]).reset_part
+    rs = build_controller(builtin_specs()[name]).reset_part
     grid = log_grid(0.05, 2000.0, 10)
     with mock.patch.object(resetloop.reset, "_harmonics",
                            wraps=resetloop.reset._harmonics) as kernel:

@@ -318,10 +318,10 @@ def _per_sample_feedforward(ff, traj, dt):
 @pytest.mark.parametrize("ref", ["step3um", "ref1", "ref2", "ref3"])
 def test_blocked_feedforward_matches_the_per_sample_drive(plant, ref):
     # ref3 puts every snap switch on a sample
-    from resetloop.cli import _REFERENCES
+    from resetloop.specfile import REFERENCES
     from resetloop.sim import feedforward_signal
 
-    kind, distance, duration, hold = _REFERENCES[ref]
+    kind, distance, duration, hold = REFERENCES[ref]
     traj = generate_trajectory(kind, distance, duration, hold=hold)
     ff = make_feedforward(plant, 100.0 * _pid_spec(plant).omega_c)
     got = feedforward_signal(ff, traj, 1e-4)
@@ -567,7 +567,7 @@ def _simulator_matrices(plant, suite):
     """Every distinct matrix the simulator exponentiates: the held-input
     steps and feedforward drives of the builtin suite on step3um, ref1 and
     ref3, and the oracle flows of the benchmark's validate elements."""
-    from resetloop.cli import _REFERENCES
+    from resetloop.specfile import REFERENCES
 
     seen = {}
     real = resetloop.sim.expm
@@ -585,7 +585,7 @@ def _simulator_matrices(plant, suite):
             SampledLoop.build(plant_ss, spec, SimConfig.dt)
             ff = make_feedforward(plant, 100.0 * spec.omega_c)
             for ref in ("step3um", "ref1", "ref3"):
-                kind, distance, duration, hold = _REFERENCES[ref]
+                kind, distance, duration, hold = REFERENCES[ref]
                 traj = generate_trajectory(kind, distance, duration, hold=hold)
                 feedforward_signal(ff, traj, SimConfig.dt)
     bench = _bench_workloads()
@@ -747,13 +747,13 @@ def _per_sample_loop(loop, traj, cfg, u_ff=None):
 @pytest.mark.parametrize("design", ["pid", "cglp-pid", "cglp-pi", "cloc-1",
                                     "cloc-2"])
 def test_fused_loop_matches_the_per_sample_loop(plant, suite, design):
-    from resetloop.cli import _REFERENCES
+    from resetloop.specfile import REFERENCES
 
     spec = suite[design]
     loop = SampledLoop.build(tf_to_ss(plant), spec, SimConfig.dt)
     ff = make_feedforward(plant, 100.0 * spec.omega_c)
     for ref in ("step3um", "ref1", "ref3"):
-        kind, distance, duration, hold = _REFERENCES[ref]
+        kind, distance, duration, hold = REFERENCES[ref]
         traj = generate_trajectory(kind, distance, duration, hold=hold)
         for noise in (0.0, 2e-6):
             cfg = SimConfig(noise_amplitude=noise, noise_seed=17)

@@ -5,27 +5,31 @@ from hypothesis import strategies as st
 
 from resetloop.lti import hz
 from resetloop.specfile import (
-    _builtin_specs,
     build_controller,
+    builtin_specs,
     emit_spec,
     finite_number,
     finite_numbers,
+    parse_scenario,
+    parse_skeleton,
     parse_spec,
 )
 from resetloop.synthesis import (
+    ApproxBand,
     build_benchmark_suite,
     build_cglp_pi,
     build_cglp_pid,
     build_cloc_from,
     build_pid,
     controller_harmonic,
+    crone_place,
 )
 
 
 @pytest.mark.parametrize("name", ["pid", "cglp-pid", "cglp-pi", "cloc-1",
                                   "cloc-2", "clegg", "fore", "sore"])
 def test_round_trip_is_exact(tmp_path, name):
-    d = _builtin_specs()[name]
+    d = builtin_specs()[name]
     p1 = tmp_path / "a.spec"
     emit_spec(d, p1)
     r1 = parse_spec(p1)
@@ -38,7 +42,7 @@ def test_round_trip_is_exact(tmp_path, name):
 
 
 def test_published_ladder_survives_round_trip(tmp_path):
-    d = _builtin_specs()["cloc-1"]
+    d = builtin_specs()["cloc-1"]
     path = tmp_path / "cloc1.spec"
     emit_spec(d, path)
     r = parse_spec(path)
@@ -51,6 +55,7 @@ def test_published_ladder_survives_round_trip(tmp_path):
     ("kind cloc\n", "key = value"),
     ("gamma = [0.1, oops]\n", "bad list"),
     ("gamma = [0.1, 0.2\n", "unterminated"),
+    ("gamma = 0.1\n# again\ngamma = 0.2\n", "bad.spec:3: repeated key 'gamma'"),
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, body, err):
     path = tmp_path / "bad.spec"
@@ -73,7 +78,7 @@ def test_parse_accepts_comments_and_strings(tmp_path):
 @pytest.mark.parametrize("name", ["pid", "cglp-pid", "cglp-pi", "cloc-1",
                                   "cloc-2"])
 def test_build_controller_from_builtin(name):
-    spec = build_controller(_builtin_specs()[name])
+    spec = build_controller(builtin_specs()[name])
     assert spec.label == name
     assert spec.kp == 1.0
 
@@ -121,12 +126,12 @@ def test_build_reset_element_kinds():
                           "beta_r": 0.8, "gamma": 0.1}).reset_part
     assert s.order == 2
     # a pid is a loop controller, not a reset element
-    assert build_controller(_builtin_specs()["pid"]).reset_part is None
+    assert build_controller(builtin_specs()["pid"]).reset_part is None
 
 
 def test_reset_element_specs_are_not_loop_controllers():
     for name in ("clegg", "fore", "sore"):
-        spec = build_controller(_builtin_specs()[name])
+        spec = build_controller(builtin_specs()[name])
         assert spec.linear_parts == () and spec.omega_c is None
         assert spec.label == name and spec.kp == 1.0
 
@@ -182,7 +187,7 @@ def test_finite_number_readers():
     ("clegg", "gamma", float("nan"), "gamma"),
 ])
 def test_malformed_values_are_rejected(name, key, value, err):
-    d = dict(_builtin_specs()[name], **{key: value})
+    d = dict(builtin_specs()[name], **{key: value})
     with pytest.raises(ValueError, match=err):
         build_controller(d)
 
@@ -194,20 +199,20 @@ def test_malformed_values_are_rejected(name, key, value, err):
     ("cloc-1", "n_pairs"),       # a tune skeleton key
 ])
 def test_keys_the_kind_does_not_read_are_rejected(name, key):
-    d = dict(_builtin_specs()[name], **{key: 0.5})
+    d = dict(builtin_specs()[name], **{key: 0.5})
     with pytest.raises(ValueError, match=f"does not take key.*'{key}'"):
         build_controller(d)
 
 
 def test_second_order_cglp_reads_its_damping():
-    d = _builtin_specs()["cglp-sore"]
+    d = builtin_specs()["cglp-sore"]
     a = build_controller(d).reset_part.base.A
     b = build_controller(dict(d, beta_r=0.5)).reset_part.base.A
     assert a[1, 1] != b[1, 1]
 
 
 def test_scalar_gamma_counts_as_a_one_element_list():
-    d = _builtin_specs()["cglp-pid"]
+    d = builtin_specs()["cglp-pid"]
     grid = np.array([hz(50.0), hz(150.0)])
     a = controller_harmonic(build_controller(dict(d, gamma=0.5)), grid)
     b = controller_harmonic(build_controller(dict(d, gamma=(0.5,))), grid)
@@ -249,9 +254,57 @@ def test_parse_emit_parse_is_a_fixed_point(tmp_path_factory, d):
     assert _bits(parse_spec(path)) == _bits(first)
 
 
-@pytest.mark.parametrize("name", sorted(_builtin_specs()))
+@pytest.mark.parametrize("name", sorted(builtin_specs()))
 def test_every_builtin_survives_emit_and_parse(tmp_path, name):
-    d = _builtin_specs()[name]
+    d = builtin_specs()[name]
     emit_spec(d, tmp_path / "b.spec")
     assert parse_spec(tmp_path / "b.spec") == d
 
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (2**60 + 1, 2**60 + 1), (7.0, 7), (7.5, None), (True, None), ("7", None),
+])
+def test_scenario_seed_rule(seed, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            parse_scenario({"seed": seed})
+    else:
+        noise_seed = parse_scenario({"seed": seed})[1].noise_seed
+        assert type(noise_seed) is int and noise_seed == expected
+
+
+@pytest.mark.parametrize("d, err", [
+    ({"reference": "ref4"}, "unknown reference 'ref4'"),
+    ({"feedforward": 1.0}, "feedforward must be true or false, got 1.0"),
+    ({"feedforward": "yes"}, "feedforward must be true or false, got 'yes'"),
+])
+def test_scenario_rejects_an_unknown_reference_or_a_non_bool_feedforward(d, err):
+    with pytest.raises(ValueError, match=err):
+        parse_scenario(d)
+
+
+def test_skeleton_from_explicit_ladder_lists():
+    crone = parse_skeleton({"poles_hz": (16.5, 76.6), "zeros_hz": (35.55, 165.0)})
+    assert crone.poles == (hz(16.5), hz(76.6))
+    assert crone.zeros == (hz(35.55), hz(165.0))
+    assert crone.gain == 1.0
+
+
+def test_skeleton_from_placement_keys_is_crone_place():
+    d = {"alpha": -0.5, "n_pairs": 3.0, "omega_l_hz": 11.24,
+         "omega_h_hz": 1124.0}
+    assert parse_skeleton(d) == crone_place(-0.5, ApproxBand(hz(11.24),
+                                                             hz(1124.0), 3))
+
+
+@pytest.mark.parametrize("d, err", [
+    ({"alpha": -0.5, "n_pairs": 2.5, "omega_l_hz": 10.0, "omega_h_hz": 1e3},
+     "n_pairs must be an integer, got 2.5"),
+    ({"alpha": -0.5, "n_pairs": 3.0, "omega_l_hz": 10.0},
+     "skeleton needs poles_hz/zeros_hz or alpha/n_pairs/omega_l_hz/omega_h_hz"),
+    ({"poles_hz": (16.5, 76.6)}, "skeleton needs"),
+])
+def test_skeleton_rejects_a_fractional_n_pairs_or_neither_form(d, err):
+    with pytest.raises(ValueError, match=err):
+        parse_skeleton(d)

@@ -47,7 +47,7 @@ from resetloop.synthesis import (
     _refine_axis,
     _tune_scorer,
 )
-from resetloop.specfile import _builtin_specs, build_controller
+from resetloop.specfile import builtin_specs, build_controller
 
 TABLE_SIGFIG_RTOL = 5e-4   # agreement at the third significant digit
 
@@ -630,7 +630,7 @@ def test_matched_sore_gamma_regression():
         c = build_controller(d)
         return np.degrees(np.angle(controller_harmonic(c, [c.omega_c])[0]))
 
-    table = _builtin_specs()
+    table = builtin_specs()
     reference = phase_deg(table["pid"])
     gamma = brentq(
         lambda g: phase_deg(dict(table["cglp-pi"], gamma=(float(g),))) - reference,
@@ -689,7 +689,7 @@ def _controller_harmonic_reference(spec, grid, n):
        st.sampled_from([1.0, 0.37]))
 @example("fore", [2, 11, 1, 4, 3], 1.0)
 def test_controller_harmonics_equal_the_per_order_route(name, orders, kp):
-    spec = build_controller(_builtin_specs()[name]).with_kp(kp)
+    spec = build_controller(builtin_specs()[name]).with_kp(kp)
     grid = log_grid(0.05, 2000.0, 15)
     got = controller_harmonics(spec, grid, orders)
     assert len(got) == len(orders)
@@ -698,7 +698,7 @@ def test_controller_harmonics_equal_the_per_order_route(name, orders, kp):
 
 
 def test_controller_harmonics_split_a_long_grid_into_blocks():
-    spec = build_controller(_builtin_specs()["fore"])
+    spec = build_controller(builtin_specs()["fore"])
     grid = np.geomspace(0.1, 3e4, resetloop.reset._BLOCK_POINTS + 999)
     orders = (3, 1, 2, 5)
     got = controller_harmonics(spec, grid, orders)
@@ -708,7 +708,7 @@ def test_controller_harmonics_split_a_long_grid_into_blocks():
 
 def test_controller_harmonics_share_one_kernel_pass(kernel_calls):
     grid = log_grid(1.0, 100.0, 5)
-    clegg, pid = (build_controller(_builtin_specs()[name]) for name in ("clegg", "pid"))
+    clegg, pid = (build_controller(builtin_specs()[name]) for name in ("clegg", "pid"))
     controller_harmonics(clegg, grid, range(1, 12))
     assert kernel_calls == [(1, 3, 5, 7, 9, 11)]
     # even orders and a reset-free controller's higher orders are zeros
@@ -720,7 +720,7 @@ def test_controller_harmonics_share_one_kernel_pass(kernel_calls):
 
 
 def test_controller_harmonics_reject_orders_below_one():
-    spec = build_controller(_builtin_specs()["clegg"])
+    spec = build_controller(builtin_specs()["clegg"])
     with pytest.raises(ValueError, match="orders must be >= 1"):
         controller_harmonics(spec, log_grid(1.0, 10.0, 5), (1, 0))
 
